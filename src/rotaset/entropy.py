@@ -7,7 +7,14 @@ minimum; their exponential growth rate in n, not their level, carries the
 entropy estimate, and the greedy cover has the right growth empirically.
 
 Counts are computed from one precomputed orbit table (resolution² starts ×
-max length torus positions), shared across all (ε, n) cells.
+max length torus positions), shared across all (ε, n) cells. For each ε a
+single chunked pass gives the counts at every length: it records, for each
+candidate pair in a static ε-block, the separation time s (the number of
+leading steps the pair stays within ε), and a pair is within ε over n steps
+exactly when s ≥ n. The pass therefore reproduces, bit for bit, one
+independent greedy scan per (ε, n) (see `_spanning_counts`). Its working
+memory is about 128 × (2·hw + 1)² candidate pairs per chunk, hw = ⌈ε·res⌉ + 1,
+plus len(lengths) × res² coverage bits.
 """
 from __future__ import annotations
 
@@ -36,6 +43,10 @@ DEFAULT_RESOLUTION = 256
 # Fixed row-block size for parallel orbit-table filling; results are
 # elementwise, hence bit-identical for any partition/worker count.
 _CHUNK_ROWS = 16
+
+# Candidates per separation-time chunk of the spanning scan. It bounds the
+# scan's working memory; the counts do not depend on it.
+_SCAN_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,7 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int, workers: int = 1) 
         for k in range(1, depth):
             u, _ = torus_step(lift, u)
             if not np.all(np.isfinite(u)):
-                raise IterationError(f"orbit escaped at step {k}", step=k)
+                raise IterationError.escaped(block, u, k)
             out[:, k] = u
         return out
 
@@ -132,50 +143,123 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int, workers: int = 1) 
     return np.concatenate(parts)
 
 
-def _greedy_count(table: np.ndarray, resolution: int, eps: float, n: int) -> int:
-    """Greedy spanning count over the candidate grid, row-major scan order.
+def _length_words(flags: np.ndarray) -> np.ndarray:
+    """Pack (m, L) per-length flags into (⌈L/64⌉, m) uint64 words: flag i
+    is bit i % 64 of word i // 64."""
+    words = -(-flags.shape[1] // 64)
+    padded = np.zeros((len(flags), 64 * words), dtype=bool)
+    padded[:, : flags.shape[1]] = flags
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(packed.T, dtype=np.uint64)
 
-    Static distance bounds dynamical distance from below, so only candidates
-    in the torus square of half-width ε (plus one cell of slack) around the
-    scan point can possibly be covered; within that block, survivors of the
-    k=0 test are winnowed by the remaining orbit steps, late steps first
-    (chaotic orbits separate fastest at the far end, so most candidates die
-    on the first comparison).
+
+def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) -> tuple[int, ...]:
+    """Greedy (n, ε)-spanning counts for every n in `lengths` from one scan.
+
+    Candidates are scanned in row-major order; at each length a candidate
+    not yet covered becomes a centre and covers every later candidate
+    within dynamical distance ε over n steps. A candidate can only be
+    within ε of c if it lies in the torus square of half-width ε (plus one
+    cell of slack) around c, so only that static block is tested. Column 0
+    of `table` must be the candidate grid itself, as `orbit_table` lays
+    it out.
+
+    One pass serves all lengths through the *separation time* s(c, j): the
+    number of leading steps k with d_k(c, j) ≤ ε, under the per-cell scan's
+    float test operand for operand, `dx*dx + dy*dy <= ε²` with per axis
+    dx = |x_j - x_c| and then min(dx, 1 - dx). Exactness:
+
+    - j is within ε of c over n steps exactly when s(c, j) ≥ n;
+    - every j < c is already covered or a centre, at every length, when
+      the scan reaches c, so only edges to later j are kept;
+    - so for each candidate c the scan reads c's covered flag per length,
+      counts c as a centre where it is unset, and there sets the flag of
+      each later block neighbour j with s(c, j) ≥ n.
+
+    The counts therefore equal, bit for bit, one independent greedy scan
+    per (ε, n).
+
+    Separation times are built for fixed chunks of `_SCAN_CHUNK`
+    candidates just before the scan reaches them. Candidates and block
+    neighbours already covered at every length are dropped first: covered
+    only grows, so they can never become centres or gain coverage, which
+    keeps isometries and local maps from testing every pair for every
+    step. Memory: about `_SCAN_CHUNK` × (2·hw + 1)² pairs per chunk
+    (hw = ⌈ε·res⌉ + 1), the covered flags (len(lengths) × res² bits,
+    packed 64 lengths to a word) and a step-major copy of the table.
     """
     res = int(resolution)
     total = res * res
-    covered = np.zeros(total, dtype=bool)
-    hw = int(np.ceil(eps * res)) + 1
-    offs = np.arange(-hw, hw + 1)
-    ox = np.ascontiguousarray(table[:, :n, 0])
-    oy = np.ascontiguousarray(table[:, :n, 1])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    depth = int(lengths.max())
+    ox = np.ascontiguousarray(table[:, :depth, 0].T)
+    oy = np.ascontiguousarray(table[:, :depth, 1].T)
     eps2 = eps * eps
-    count = 0
-    for c in range(total):
-        if covered[c]:
+    hw = int(np.ceil(eps * res)) + 1
+    # the block wraps onto itself once 2·hw + 1 > res: each neighbour once
+    offs = np.unique(np.arange(-hw, hw + 1) % res)
+    sep_dtype = np.min_scalar_type(depth)
+    # column s: the lengths that a pair with separation time s reaches
+    reach_by_sep = _length_words(np.arange(depth + 1)[:, None] >= lengths)
+    full = reach_by_sep[:, depth, None]
+    covered = np.zeros((len(full), total), dtype=np.uint64)
+    counts = np.zeros(len(lengths), dtype=np.int64)
+    for lo in range(0, total, _SCAN_CHUNK):
+        cand = np.arange(lo, min(lo + _SCAN_CHUNK, total))
+        cand = cand[(covered[:, cand] != full).any(axis=0)]
+        if cand.size == 0:
             continue
-        count += 1
-        i, j = divmod(c, res)
-        ii = (i + offs) % res
-        jj = (j + offs) % res
-        block = (ii[:, None] * res + jj[None, :]).ravel()
-        block = block[~covered[block]]
-        dx = np.abs(ox[block, 0] - ox[c, 0])
+        rows = (cand[:, None] // res + offs) % res
+        cols = (cand[:, None] % res + offs) % res
+        # Step 0 compares grid points: x depends only on the row and y only
+        # on the column, so the float test splits into a row and a column part.
+        dx = np.abs(ox[0, rows * res] - ox[0, cand, None])
         dx = np.minimum(dx, 1.0 - dx)
-        dy = np.abs(oy[block, 0] - oy[c, 0])
+        dy = np.abs(oy[0, cols] - oy[0, cand, None])
         dy = np.minimum(dy, 1.0 - dy)
-        alive = block[dx * dx + dy * dy <= eps2]
-        for k in range(n - 1, 0, -1):
+        pj = (rows[:, :, None] * res + cols[:, None, :]).reshape(len(cand), -1)
+        near = ((dx * dx)[:, :, None] + (dy * dy)[:, None, :] <= eps2).reshape(pj.shape)
+        near &= pj > cand[:, None]
+        pair = np.flatnonzero(near)
+        pc, pj = cand[pair // pj.shape[1]], pj.ravel()[pair]
+        keep = np.flatnonzero((covered[:, pj] != full).any(axis=0))
+        pc, pj = pc.take(keep), pj.take(keep)
+        sep = np.ones(len(pc), dtype=sep_dtype)
+        alive = np.arange(len(pc))
+        a, b = pc, pj
+        for k in range(1, depth):
+            # dx*dx + dy*dy <= eps2 as above, in place
+            dx = ox[k].take(b)
+            dx -= ox[k].take(a)
+            np.abs(dx, out=dx)
+            np.minimum(dx, 1.0 - dx, out=dx)
+            dy = oy[k].take(b)
+            dy -= oy[k].take(a)
+            np.abs(dy, out=dy)
+            np.minimum(dy, 1.0 - dy, out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            stay = np.flatnonzero(dx <= eps2)
+            alive, a, b = alive.take(stay), a.take(stay), b.take(stay)
             if alive.size == 0:
                 break
-            dx = np.abs(ox[alive, k] - ox[c, k])
-            dx = np.minimum(dx, 1.0 - dx)
-            dy = np.abs(oy[alive, k] - oy[c, k])
-            dy = np.minimum(dy, 1.0 - dy)
-            alive = alive[dx * dx + dy * dy <= eps2]
-        covered[alive] = True
-        covered[c] = True
-    return count
+            sep[alive] = k + 1
+        edge = np.flatnonzero(sep >= lengths.min())
+        pc, pj, reach = pc.take(edge), pj.take(edge), reach_by_sep[:, sep.take(edge)]
+        bounds = np.searchsorted(pc, np.append(cand, total))
+        centres = np.zeros((len(cand), len(full)), dtype=np.uint64)
+        for t, c in enumerate(cand):
+            live = full[:, 0] & ~covered[:, c]
+            if not live.any():
+                continue
+            centres[t] = live
+            js = pj[bounds[t] : bounds[t + 1]]
+            for word, r, lv in zip(covered, reach[:, bounds[t] : bounds[t + 1]], live):
+                word[js] |= r & lv
+        bits = np.unpackbits(centres.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        counts += bits[:, : len(lengths)].sum(axis=0, dtype=np.int64)
+    return tuple(int(x) for x in counts)
 
 
 def _check_resolution(eps: float, resolution: int):
@@ -191,7 +275,7 @@ def count_spanning(lift: TorusLift, epsilon: float, n: int, candidate_resolution
         raise ValueError("n must be a positive integer")
     _check_resolution(epsilon, candidate_resolution)
     table = orbit_table(lift, candidate_resolution, n, workers=workers)
-    return _greedy_count(table, candidate_resolution, float(epsilon), n)
+    return _spanning_counts(table, candidate_resolution, float(epsilon), (n,))[0]
 
 
 def _fit_window(lengths, counts, saturation_cap):
@@ -237,9 +321,7 @@ def estimate_entropy(
         _check_resolution(eps, res)
 
     table = orbit_table(lift, res, lengths[-1], workers=workers)
-    counts = tuple(
-        tuple(_greedy_count(table, res, eps, n) for n in lengths) for eps in epsilons
-    )
+    counts = tuple(_spanning_counts(table, res, eps, lengths) for eps in epsilons)
 
     cap = res * res / 2.0
     slopes = []

@@ -54,12 +54,22 @@ _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 
 
 class IterationError(RuntimeError):
-    """An orbit left the finite float range; carries the failing step."""
+    """An orbit left the finite float range; carries the failing step and,
+    where known, the start it came from."""
 
     def __init__(self, message, step=None, start=None):
         super().__init__(message)
         self.step = step
         self.start = start
+
+    @classmethod
+    def escaped(cls, starts: np.ndarray, u: np.ndarray, step: int) -> "IterationError":
+        """Error for a batch of orbits (starts and current points, shape
+        (N, 2)) some of which left the finite range at `step`; it names the
+        first escaped start, as plain floats."""
+        i = np.flatnonzero(~np.isfinite(u).all(axis=-1))[0]
+        start = tuple(float(x) for x in starts[i])
+        return cls(f"orbit from start {start} escaped at step {step}", step=step, start=start)
 
 
 def _as_points(p) -> np.ndarray:
@@ -122,6 +132,11 @@ class VerticalTentShear(TorusLift):
 
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        # stored as given: map_label prints a JSON int amplitude as an int
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+
     def _apply(self, pts):
         out = pts.copy()
         out[..., 1] += self.amplitude * tent(pts[..., 0])
@@ -138,6 +153,11 @@ class HorizontalTentShear(TorusLift):
     """(x, y) -> (x + a·tent(y), y)."""
 
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        # stored as given: map_label prints a JSON int amplitude as an int
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
 
     def _apply(self, pts):
         out = pts.copy()

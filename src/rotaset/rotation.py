@@ -117,12 +117,7 @@ def _orbit_averages(lift: TorusLift, u0: np.ndarray, horizons) -> list[np.ndarra
         u, dw = torus_step(lift, u)
         w += dw
         if not np.all(np.isfinite(u)):
-            bad = np.argwhere(~np.isfinite(u).all(axis=-1))[0]
-            raise IterationError(
-                f"orbit from start {tuple(u0[tuple(bad)])} escaped at step {step}",
-                step=step,
-                start=tuple(u0[tuple(bad)]),
-            )
+            raise IterationError.escaped(u0, u, step)
         if step in targets:
             out.append((u - u0 + w) / step)
     return out

@@ -1,4 +1,5 @@
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import rotaset
 from rotaset import (
     ConvexPolygon,
     Identity,
+    TorusLift,
     Translation,
     horseshoe_disk,
     lm_map,
@@ -24,6 +26,15 @@ settings.load_profile("default")
 IRRATIONAL = (0.41421356, 0.73205081)
 
 UNIT_SQUARE = ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+
+
+@dataclass(frozen=True)
+class EscapesRightHalf(TorusLift):
+    """Identity on x < 1/2, NaN on x ≥ 1/2: every orbit started there
+    escapes at step 1, and the first such grid start is (0.5, 0.0)."""
+
+    def _apply(self, pts):
+        return np.where(pts[..., :1] >= 0.5, np.nan, pts)
 
 
 def cli_env():

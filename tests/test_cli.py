@@ -79,6 +79,15 @@ def test_bad_map_json_exits_2(tmp_path):
     assert r.returncode == 2, r.stderr
 
 
+@pytest.mark.parametrize("name", ["vertical_tent_shear", "horizontal_tent_shear"])
+@pytest.mark.parametrize("amplitude", ["Infinity", "NaN"])
+def test_nonfinite_tent_amplitude_exits_2(tmp_path, name, amplitude):
+    spec = f'{{"map": "{name}", "params": {{"amplitude": {amplitude}}}}}'
+    r = run_cli(["entropy", "--map-json", spec, "--resolution", "40", "--lengths", "2..3"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "amplitude must be finite" in r.stderr
+
+
 def test_map_json_inline_and_file(tmp_path):
     spec = {"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}}
     r = run_cli(

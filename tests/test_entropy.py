@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from rotaset import (
+    Composition,
+    HorizontalTentShear,
     Identity,
     IntegerTranslate,
+    IterationError,
     Translation,
+    VerticalTentShear,
     count_spanning,
     dynamical_distance,
     estimate_entropy,
+    horseshoe_disk,
 )
-from rotaset.entropy import flat_distance, orbit_table
+from rotaset.entropy import _spanning_counts, flat_distance, orbit_table
 
-from .conftest import IRRATIONAL
+from .conftest import IRRATIONAL, EscapesRightHalf
 
 
 def test_flat_distance_wraps():
@@ -87,6 +92,16 @@ def test_orbit_table_layout(lm):
     # column 0 is the candidate grid itself
     assert tab[17, 0, 0] == 1 / 16 and tab[17, 0, 1] == 1 / 16
     assert np.all(tab >= 0.0) and np.all(tab < 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orbit_table_escape_names_step_and_start(workers):
+    with pytest.raises(IterationError) as exc:
+        orbit_table(EscapesRightHalf(), 32, 3, workers=workers)
+    assert exc.value.step == 1
+    assert exc.value.start == (0.5, 0.0)
+    assert str(exc.value) == "orbit from start (0.5, 0.0) escaped at step 1"
 
 
 def test_orbit_table_worker_independence(lm):
@@ -170,3 +185,71 @@ def test_csv_rows_cover_table(lm):
     est = estimate_entropy(lm, (0.1,), (2, 3), 64)
     rows = list(est.csv_rows())
     assert rows == [(0.1, 2, est.counts[0][0]), (0.1, 3, est.counts[0][1])]
+
+
+def _greedy_count_reference(table, resolution, eps, n):
+    """One greedy (n, ε) scan per cell: the per-candidate loop that
+    `_spanning_counts` replaces, kept as its reference.
+
+    Static distance bounds dynamical distance from below, so only candidates
+    in the torus square of half-width ε (plus one cell of slack) around the
+    scan point can be covered; survivors of the k=0 test are winnowed by
+    the remaining orbit steps.
+    """
+    res = int(resolution)
+    total = res * res
+    covered = np.zeros(total, dtype=bool)
+    hw = int(np.ceil(eps * res)) + 1
+    offs = np.arange(-hw, hw + 1)
+    ox = np.ascontiguousarray(table[:, :n, 0])
+    oy = np.ascontiguousarray(table[:, :n, 1])
+    eps2 = eps * eps
+    count = 0
+    for c in range(total):
+        if covered[c]:
+            continue
+        count += 1
+        i, j = divmod(c, res)
+        ii = (i + offs) % res
+        jj = (j + offs) % res
+        block = (ii[:, None] * res + jj[None, :]).ravel()
+        block = block[~covered[block]]
+        dx = np.abs(ox[block, 0] - ox[c, 0])
+        dx = np.minimum(dx, 1.0 - dx)
+        dy = np.abs(oy[block, 0] - oy[c, 0])
+        dy = np.minimum(dy, 1.0 - dy)
+        alive = block[dx * dx + dy * dy <= eps2]
+        for k in range(n - 1, 0, -1):
+            if alive.size == 0:
+                break
+            dx = np.abs(ox[alive, k] - ox[c, k])
+            dx = np.minimum(dx, 1.0 - dx)
+            dy = np.abs(oy[alive, k] - oy[c, k])
+            dy = np.minimum(dy, 1.0 - dy)
+            alive = alive[dx * dx + dy * dy <= eps2]
+        covered[alive] = True
+        covered[c] = True
+    return count
+
+
+def _tent_product(a, b):
+    return Composition((VerticalTentShear(a), HorizontalTentShear(b)))
+
+
+@pytest.mark.parametrize(
+    "lift, resolution, eps, lengths",
+    [
+        (_tent_product(1, 1), 24, 0.2, (1, 2, 3, 4)),
+        (_tent_product(2, -1), 32, 0.125, (2, 5, 9)),
+        (_tent_product(-2, 2), 20, 0.25, (1, 3, 6)),
+        (Translation(IRRATIONAL), 32, 0.15, (1, 2, 7, 130)),
+        (horseshoe_disk(), 40, 0.1, (2, 5, 9)),
+        (_tent_product(1, -2), 10, 0.45, (1, 2, 5)),  # 2·hw + 1 > res: the block wraps
+        (Identity(), 10, 0.45, (1, 4, 200)),
+    ],
+    ids=["tent11", "tent2-1-gapped", "tent-22", "rotation-long", "horseshoe", "tent-wrap", "identity-wrap-long"],
+)
+def test_spanning_counts_match_per_cell_scan(lift, resolution, eps, lengths):
+    table = orbit_table(lift, resolution, max(lengths))
+    want = tuple(_greedy_count_reference(table, resolution, eps, n) for n in lengths)
+    assert _spanning_counts(table, resolution, eps, lengths) == want

@@ -5,6 +5,7 @@ from rotaset import (
     Identity,
     IntegerTranslate,
     Iterate,
+    IterationError,
     Translation,
     check_iterate_scaling,
     check_translation_equivariance,
@@ -17,7 +18,7 @@ from rotaset import (
 )
 from rotaset.serialize import canonical_json
 
-from .conftest import IRRATIONAL, UNIT_SQUARE
+from .conftest import IRRATIONAL, UNIT_SQUARE, EscapesRightHalf
 
 
 def test_rotation_vector_translation():
@@ -166,3 +167,12 @@ def test_iterate_and_translate_estimates_share_orbits(lm):
     s = np.asarray([s.displacement_average for s in shifted.samples])
     assert np.max(np.abs(d - 2.0 * b)) <= 1e-12
     assert np.max(np.abs(s - b - np.asarray([3.0, 2.0]))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_escape_names_step_and_plain_float_start():
+    with pytest.raises(IterationError) as exc:
+        estimate_rotation_set(EscapesRightHalf(), (8, 8), (5, 10))
+    assert exc.value.step == 1
+    assert exc.value.start == (0.5, 0.0)
+    assert str(exc.value) == "orbit from start (0.5, 0.0) escaped at step 1"
