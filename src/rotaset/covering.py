@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import IterationError, TorusLift, torus_step
+from .maps import TorusLift, torus_orbit, torus_step
 
 __all__ = [
     "CoveringTorus",
@@ -31,8 +31,6 @@ __all__ = [
     "VERTICAL_DOUBLE",
     "FOUR_FOLD",
 ]
-
-_ORBIT_CHUNK = 4096  # binning buffer, steps per vectorized flush
 
 TRANSITIVE_THRESHOLD = 0.98
 OBSTRUCTED_THRESHOLD = 0.5
@@ -104,17 +102,21 @@ class CoveringDynamics:
         z = np.asarray(z, dtype=float)
         return z - np.floor(z)
 
+    def orbit_chunks(self, starts, n: int):
+        """Covering points of the orbits of `starts` (shape (..., 2)) after
+        steps 1..n, in chunks of shape (steps, ..., 2). Reducing start
+        offset plus cumulative winding mod (m, n) gives the same integers
+        as reducing after every step."""
+        starts = np.asarray(starts, dtype=float)
+        u, w = self.split(starts)
+        mod = np.asarray(self.cover.factors, dtype=np.int64)
+        for _, us, ws in torus_orbit(self.lift, u, n, starts=starts):
+            yield np.stack(us) + (w + np.stack(ws)) % mod
+
     def orbit(self, start, n: int) -> np.ndarray:
         """(n+1, 2) covering orbit including the start point."""
-        u, w = self.split(np.asarray(start, dtype=float))
-        out = np.empty((n + 1, 2))
-        out[0] = u + w
-        for k in range(n):
-            u, w = self.step_state(u, w)
-            if not np.all(np.isfinite(u)):
-                raise IterationError(f"orbit escaped at step {k + 1}", step=k + 1, start=start)
-            out[k + 1] = u + w
-        return out
+        u, w = self.split(start)
+        return np.concatenate([(u + w)[None], *self.orbit_chunks(start, n)])
 
 
 def lift_to_covering(lift: TorusLift, cover: CoveringTorus) -> CoveringDynamics:
@@ -191,17 +193,8 @@ def transitivity_score(
             grids[s, iy[:, s], ix[:, s]] = True
 
     mark((u + w)[None, :, :])
-    done = 0
-    while done < iterations:
-        span = min(_ORBIT_CHUNK, iterations - done)
-        buf = np.empty((span, S, 2))
-        for t in range(span):
-            u, w = dyn.step_state(u, w)
-            buf[t] = u + w
-        if not np.all(np.isfinite(buf[-1])):
-            raise IterationError(f"orbit escaped near step {done + span}")
-        mark(buf)
-        done += span
+    for chunk in dyn.orbit_chunks(s_arr, iterations):
+        mark(chunk)
 
     union = grids.any(axis=0)
     return TransitivityReport(

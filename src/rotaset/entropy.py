@@ -18,12 +18,12 @@ plus len(lengths) × res² coverage bits.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import IterationError, TorusLift, torus_step
+from .maps import TorusLift, run_in_blocks, torus_orbit
+from .maps import torus_step  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "EntropyEstimate",
@@ -39,10 +39,6 @@ __all__ = [
 DEFAULT_EPSILONS = (0.1, 0.05)
 DEFAULT_LENGTHS = tuple(range(2, 15))
 DEFAULT_RESOLUTION = 256
-
-# Fixed row-block size for parallel orbit-table filling; results are
-# elementwise, hence bit-identical for any partition/worker count.
-_CHUNK_ROWS = 16
 
 # Candidates per separation-time chunk of the spanning scan. It bounds the
 # scan's working memory; the counts do not depend on it.
@@ -99,17 +95,14 @@ def dynamical_distance(lift: TorusLift, x, y, n: int) -> float:
     """max over 0 ≤ k < n of the flat torus distance of the k-th images."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    u = np.asarray(x, dtype=float) % 1.0
-    v = np.asarray(y, dtype=float) % 1.0
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    xy = np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+    uv = xy % 1.0
+    if not np.all(np.isfinite(uv)):
         raise ValueError("need finite torus points")
-    best = float(flat_distance(u, v))
-    for step in range(1, n):
-        u, _ = torus_step(lift, u)
-        v, _ = torus_step(lift, v)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise IterationError(f"orbit escaped at step {step}", step=step)
-        best = max(best, float(flat_distance(u, v)))
+    best = float(flat_distance(uv[0], uv[1]))
+    for _, us, _ in torus_orbit(lift, uv, n - 1, starts=xy):
+        pairs = np.stack(us)
+        best = max(best, float(flat_distance(pairs[:, 0], pairs[:, 1]).max()))
     return best
 
 
@@ -126,21 +119,13 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int, workers: int = 1) 
 
     def fill(block: np.ndarray) -> np.ndarray:
         out = np.empty((len(block), depth, 2))
-        u = block
-        out[:, 0] = u
-        for k in range(1, depth):
-            u, _ = torus_step(lift, u)
-            if not np.all(np.isfinite(u)):
-                raise IterationError.escaped(block, u, k)
-            out[:, k] = u
+        out[:, 0] = block
+        for steps, us, _ in torus_orbit(lift, block, depth - 1):
+            for k, u in zip(steps, us):
+                out[:, k] = u
         return out
 
-    if workers <= 1 or res <= _CHUNK_ROWS:
-        return fill(u0)
-    blocks = [u0[r * res : min(r + _CHUNK_ROWS, res) * res] for r in range(0, res, _CHUNK_ROWS)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(fill, blocks))
-    return np.concatenate(parts)
+    return np.concatenate(run_in_blocks(fill, u0, res, workers))
 
 
 def _length_words(flags: np.ndarray) -> np.ndarray:

@@ -97,10 +97,6 @@ def _torus_dist_inf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(d, axis=-1)
 
 
-def _fq(lift: TorusLift, x: np.ndarray, q: int) -> np.ndarray:
-    return iterate(lift, x, q)
-
-
 def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
     """Damped Newton on G(x) = F^q(x) − x − p from every seed at once.
 
@@ -120,7 +116,7 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
         if not active.any():
             break
         xa = x[active]
-        g = _fq(lift, xa, q) - xa - p
+        g = iterate(lift, xa, q) - xa - p
         res = np.max(np.abs(g), axis=-1)
         done = res <= _NEWTON_TOL
 
@@ -135,8 +131,8 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
 
         e0 = np.array([_FD_STEP, 0.0])
         e1 = np.array([0.0, _FD_STEP])
-        j00_10 = (_fq(lift, xa + e0, q) - _fq(lift, xa - e0, q)) / (2 * _FD_STEP)
-        j01_11 = (_fq(lift, xa + e1, q) - _fq(lift, xa - e1, q)) / (2 * _FD_STEP)
+        j00_10 = (iterate(lift, xa + e0, q) - iterate(lift, xa - e0, q)) / (2 * _FD_STEP)
+        j01_11 = (iterate(lift, xa + e1, q) - iterate(lift, xa - e1, q)) / (2 * _FD_STEP)
         a = j00_10[:, 0] - 1.0
         c = j00_10[:, 1]
         b = j01_11[:, 0]
@@ -213,7 +209,7 @@ def find_periodic(
             total_converged += int(conv.sum())
             good = roots[conv]
             u = good - np.floor(good)
-            res = np.max(np.abs(_fq(lift, u, q) - u - p), axis=-1)
+            res = np.max(np.abs(iterate(lift, u, q) - u - p), axis=-1)
             ok = res <= _RESIDUAL_TOL
             for point in u[ok]:
                 raw_roots.append((point, (p1, p2)))
@@ -267,7 +263,7 @@ def find_periodic(
     orbits = []
     for u, p in sorted(collapsed, key=lambda t: (t[0][0], t[0][1])):
         pv = np.asarray(p, dtype=float)
-        residual = float(np.max(np.abs(_fq(lift, u, q) - u - pv)))
+        residual = float(np.max(np.abs(iterate(lift, u, q) - u - pv)))
         if residual > _RESIDUAL_TOL:
             continue  # mate drifted past tolerance; original root already reported
         orbits.append(

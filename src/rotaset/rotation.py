@@ -10,7 +10,6 @@ decorrelates after a few dozen steps.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,8 @@ from .geometry import (
     hausdorff_distance,
     polygon_area,
 )
-from .maps import Iterate, IntegerTranslate, IterationError, TorusLift, map_label, torus_step
+from .maps import Iterate, IntegerTranslate, TorusLift, map_label, run_in_blocks, torus_orbit
+from .maps import torus_step  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "RotationSample",
@@ -38,11 +38,6 @@ __all__ = [
 
 DEFAULT_GRID = (128, 128)
 DEFAULT_HORIZONS = (100, 500, 2000)
-
-# Row-block size for worker tasks; fixed so task boundaries never depend on
-# the worker count. All per-sample arithmetic is elementwise, so results are
-# bit-identical for any partition; this just keeps the schedule canonical.
-_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -96,30 +91,17 @@ def rotation_vector(lift: TorusLift, p, n: int) -> np.ndarray:
     if pts.shape[-1] != 2 or not np.all(np.isfinite(pts)):
         raise ValueError("need a finite planar point")
     u0 = pts - np.floor(pts)
-    u = u0
-    w = np.zeros(u.shape[:-1] + (2,), dtype=np.int64)
-    for step in range(n):
-        u, dw = torus_step(lift, u)
-        w += dw
-        if not np.all(np.isfinite(u)):
-            raise IterationError(f"orbit escaped at step {step + 1}", step=step + 1, start=p)
-    return (u - u0 + w) / n
+    for _, us, ws in torus_orbit(lift, u0, n, starts=pts):
+        pass  # only the last step is wanted
+    return (us[-1] - u0 + ws[-1]) / n
 
 
 def _orbit_averages(lift: TorusLift, u0: np.ndarray, horizons) -> list[np.ndarray]:
     """Displacement averages of a batch of starts at each horizon checkpoint."""
-    u = u0
-    w = np.zeros(u0.shape, dtype=np.int64)
     out = []
     targets = set(horizons)
-    last = max(horizons)
-    for step in range(1, last + 1):
-        u, dw = torus_step(lift, u)
-        w += dw
-        if not np.all(np.isfinite(u)):
-            raise IterationError.escaped(u0, u, step)
-        if step in targets:
-            out.append((u - u0 + w) / step)
+    for steps, us, ws in torus_orbit(lift, u0, max(horizons)):
+        out += [(u - u0 + w) / k for k, u, w in zip(steps, us, ws) if k in targets]
     return out
 
 
@@ -157,16 +139,8 @@ def estimate_rotation_set(
         [(ii + offset) / rows, (jj + offset) / cols], axis=-1
     ).reshape(-1, 2)
 
-    if workers <= 1 or rows <= _CHUNK_ROWS:
-        avgs = _orbit_averages(lift, u0, horizons)
-    else:
-        blocks = [
-            u0[r * cols : min(r + _CHUNK_ROWS, rows) * cols]
-            for r in range(0, rows, _CHUNK_ROWS)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _orbit_averages(lift, b, horizons), blocks))
-        avgs = [np.concatenate([p[h] for p in parts]) for h in range(len(horizons))]
+    parts = run_in_blocks(lambda b: _orbit_averages(lift, b, horizons), u0, cols, workers)
+    avgs = [np.concatenate(per_block) for per_block in zip(*parts)]
 
     per_hulls = tuple(convex_hull(a) for a in avgs)
     dists = tuple(

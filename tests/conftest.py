@@ -37,6 +37,18 @@ class EscapesRightHalf(TorusLift):
         return np.where(pts[..., :1] >= 0.5, np.nan, pts)
 
 
+@dataclass(frozen=True)
+class EscapesAfterShift(TorusLift):
+    """NaN on x ≥ 1/2, shift by (1/4, 0) on 1/4 ≤ x < 1/2, identity below
+    1/4: starts with x ≥ 1/2 escape at step 1, those with 1/4 ≤ x < 1/2 at
+    step 2. On a 32-row grid split into 16-row blocks, the first block
+    escapes only at step 2, at (0.25, 0.0)."""
+
+    def _apply(self, pts):
+        x = pts[..., :1]
+        return np.where(x >= 0.5, np.nan, np.where(x >= 0.25, pts + (0.25, 0.0), pts))
+
+
 def cli_env():
     """Environment for a `python -m rotaset` child that imports the same
     `rotaset` as this process, whatever the child's working directory:

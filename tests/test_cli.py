@@ -88,6 +88,13 @@ def test_nonfinite_tent_amplitude_exits_2(tmp_path, name, amplitude):
     assert "amplitude must be finite" in r.stderr
 
 
+def test_overflowing_localized_shear_amplitude_exits_2(tmp_path):
+    spec = '{"map": "localized_shear", "params": {"amplitude": 1e308}}'
+    r = run_cli(["rotset", "--map-json", spec, "--grid", "4", "--horizons", "1,2"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "substep count overflows" in r.stderr
+
+
 def test_map_json_inline_and_file(tmp_path):
     spec = {"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}}
     r = run_cli(
