@@ -91,33 +91,24 @@ def _default_workers() -> int:
 
 # --- map construction --------------------------------------------------------
 
-def _map_spec_from_args(args) -> dict:
+def _map_from_args(args) -> tuple[dict, maps.TorusLift]:
+    """The map spec that the flags give, and the lift built from it."""
     if getattr(args, "map_json", None):
         text = args.map_json
         if not text.lstrip().startswith("{"):
             text = Path(text).read_text()
         spec = json.loads(text)
-        maps.from_map_spec(spec)  # validate now
-        return spec
-    name = getattr(args, "map", None)
-    if not name:
-        raise ValueError("no map given: use --map NAME or --map-json SPEC")
-    params = {}
-    if getattr(args, "alpha", None) is not None:
-        params["alpha"] = args.alpha
-    if getattr(args, "beta", None) is not None:
-        params["beta"] = args.beta
-    if getattr(args, "amplitude", None) is not None:
-        params["amplitude"] = args.amplitude
-    if getattr(args, "radius", None) is not None:
-        params["radius"] = args.radius
-    if getattr(args, "center", None) is not None:
-        params["center"] = list(_pair(args.center))
-    if getattr(args, "axis", None) is not None:
-        params["axis"] = args.axis
-    spec = {"map": name, "params": params}
-    maps.from_map_spec(spec)  # validate now
-    return spec
+    else:
+        name = getattr(args, "map", None)
+        if not name:
+            raise ValueError("no map given: use --map NAME or --map-json SPEC")
+        params = {}
+        for key in ("alpha", "beta", "amplitude", "radius", "center", "axis"):
+            value = getattr(args, key, None)
+            if value is not None:
+                params[key] = list(_pair(value)) if key == "center" else value
+        spec = {"map": name, "params": params}
+    return spec, maps.from_map_spec(spec)
 
 
 def _add_map_flags(p: argparse.ArgumentParser):
@@ -159,8 +150,7 @@ def _outdir(args) -> Path:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_rotset(args) -> int:
-    spec = _map_spec_from_args(args)
-    lift = maps.from_map_spec(spec)
+    spec, lift = _map_from_args(args)
     grid = _grid(str(args.grid))
     horizons = _ints(str(args.horizons))
     config = {
@@ -205,8 +195,7 @@ def _cmd_rotset(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    spec = _map_spec_from_args(args)
-    lift = maps.from_map_spec(spec)
+    spec, lift = _map_from_args(args)
     epsilons = _floats(str(args.eps))
     lengths = _lengths(str(args.lengths))
     config = {
@@ -228,8 +217,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    spec = _map_spec_from_args(args)
-    lift = maps.from_map_spec(spec)
+    spec, lift = _map_from_args(args)
     config = {
         "command": "periodic",
         "map": spec,
@@ -275,8 +263,7 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    spec = _map_spec_from_args(args)
-    lift = maps.from_map_spec(spec)
+    spec, lift = _map_from_args(args)
     cover = covering.CoveringTorus(_factors(args.factors))
     if args.power > 1:
         lift = maps.Iterate(lift, args.power)
@@ -318,8 +305,7 @@ def _cmd_verify(args) -> int:
         )
         return 0 if ok else 1
 
-    spec = _map_spec_from_args(args)
-    lift = maps.from_map_spec(spec)
+    _, lift = _map_from_args(args)
     grid = _grid(str(args.grid))
     horizons = _ints(str(args.horizons))
     if prop == "translation":
@@ -348,7 +334,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_maps_list(args) -> int:
     for name in sorted(maps.BUILTIN_MAPS):
-        _, params = maps.BUILTIN_MAPS[name]
+        params = maps.map_defaults(name)
         example = {"map": name}
         if params:
             example["params"] = params

@@ -17,9 +17,13 @@ Two evaluation paths are provided:
 """
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
+import numbers
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -47,6 +51,7 @@ __all__ = [
     "from_map_spec",
     "map_spec",
     "map_label",
+    "map_defaults",
     "BUILTIN_MAPS",
     "builtin_map",
 ]
@@ -63,6 +68,18 @@ _ORBIT_CHUNK_POINTS = 1024
 # Grid rows per block of starts handed to one worker thread.
 _BLOCK_ROWS = 16
 
+# Most substeps one LocalizedShear step may take: about 135 times the 74 of
+# the default horseshoe_disk. Amplitude 1e9 at radius 0.25 would need
+# 1.2e10, and one point-step would not finish in 20 s.
+_MAX_SUBSTEPS = 10_000
+
+# Built-in map name -> lift class or alias factory. Filled by declarations:
+# `class V(TorusLift, spec="name")` and `@_builtin("name")`.
+BUILTIN_MAPS: dict = {}
+
+# Aliases whose map at its defaults map_label names by the alias.
+_LABELLED_ALIASES: list = []
+
 
 class IterationError(RuntimeError):
     """An orbit left the finite float range: `step` is the earliest step at
@@ -75,9 +92,12 @@ class IterationError(RuntimeError):
 
 
 def _as_points(p) -> np.ndarray:
+    """p as finite float points of shape (..., 2), else ValueError."""
     pts = np.asarray(p, dtype=float)
     if pts.shape[-1] != 2:
         raise ValueError(f"expected points of shape (..., 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite input point")
     return pts
 
 
@@ -92,9 +112,58 @@ def tent(t):
     return 1.0 - np.abs(2.0 * s - 1.0)
 
 
+def _param(name: str, value, pair: bool = False, integral: bool = False):
+    """A spec parameter, checked: a finite number that is not a bool, or
+    with `pair` a list or tuple of exactly two, returned as a tuple. With
+    `integral` each number must equal an int (2.0 means 2) and comes back
+    as that int; else numbers come back as given. Errors name the value."""
+    if pair:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"{name} must be a pair of two numbers, got {value!r}")
+        return tuple(_param(name, x, integral=integral) for x in value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if integral:
+        if value != int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
+def _builtin(name: str, label: bool = False):
+    """Register a lift class or factory as the built-in map `name`. With
+    `label`, map_label names the factory's map at its defaults `name`."""
+
+    def register(builder):
+        if name in BUILTIN_MAPS:
+            raise ValueError(f"map {name!r} is already registered")
+        BUILTIN_MAPS[name] = builder
+        if label:
+            _LABELLED_ALIASES.append(name)
+        return builder
+
+    return register
+
+
 @dataclass(frozen=True)
 class TorusLift:
-    """Base class; concrete variants implement _apply and _apply_inv."""
+    """Base class; concrete variants implement _apply and _apply_inv.
+
+    ``class V(TorusLift, spec="name")`` declares the built-in map "name":
+    its fields are the spec's parameters (keyed by ``metadata["spec"]`` if
+    set), their defaults the spec's, and fields annotated ``TorusLift`` or
+    ``tuple[TorusLift, ...]`` hold nested specs.
+    """
+
+    spec_name = None  # the declared spec name; None for unregistered lifts
+
+    def __init_subclass__(cls, spec: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.spec_name = spec
+        if spec is not None:
+            _builtin(spec)(cls)
 
     def _apply(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -102,9 +171,15 @@ class TorusLift:
     def _apply_inv(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _step(self, u: np.ndarray):
+        """torus_step for a leaf: apply, floor, then cast the winding."""
+        z = self._apply(u)
+        k = np.floor(z)
+        return z - k, k.astype(np.int64)
+
 
 @dataclass(frozen=True)
-class Identity(TorusLift):
+class Identity(TorusLift, spec="identity"):
     def _apply(self, pts):
         return pts.copy()
 
@@ -113,13 +188,11 @@ class Identity(TorusLift):
 
 
 @dataclass(frozen=True)
-class Translation(TorusLift):
+class Translation(TorusLift, spec="translation"):
     v: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "v", (float(self.v[0]), float(self.v[1])))
-        if not all(math.isfinite(c) for c in self.v):
-            raise ValueError("translation vector must be finite")
+        object.__setattr__(self, "v", tuple(float(c) for c in _param("v", self.v, pair=True)))
 
     def _apply(self, pts):
         return pts + np.asarray(self.v)
@@ -129,51 +202,43 @@ class Translation(TorusLift):
 
 
 @dataclass(frozen=True)
-class VerticalTentShear(TorusLift):
+class _TentShear(TorusLift):
+    """Adds amplitude·tent(other coordinate) to coordinate `_moved`."""
+
+    amplitude: float = 1.0
+
+    def __post_init__(self):
+        # stored as given: map_label prints a JSON int amplitude as an int
+        _param("amplitude", self.amplitude)
+
+    def _apply(self, pts):
+        return self._shear(pts, self.amplitude)
+
+    def _apply_inv(self, pts):
+        return self._shear(pts, -self.amplitude)
+
+    def _shear(self, pts, a):
+        out = pts.copy()
+        out[..., self._moved] += a * tent(pts[..., 1 - self._moved])
+        return out
+
+
+@dataclass(frozen=True)
+class VerticalTentShear(_TentShear, spec="vertical_tent_shear"):
     """(x, y) -> (x, y + a·tent(x)); a true shear, invertible for any a."""
 
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        # stored as given: map_label prints a JSON int amplitude as an int
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-
-    def _apply(self, pts):
-        out = pts.copy()
-        out[..., 1] += self.amplitude * tent(pts[..., 0])
-        return out
-
-    def _apply_inv(self, pts):
-        out = pts.copy()
-        out[..., 1] -= self.amplitude * tent(pts[..., 0])
-        return out
+    _moved = 1
 
 
 @dataclass(frozen=True)
-class HorizontalTentShear(TorusLift):
+class HorizontalTentShear(_TentShear, spec="horizontal_tent_shear"):
     """(x, y) -> (x + a·tent(y), y)."""
 
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        # stored as given: map_label prints a JSON int amplitude as an int
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-
-    def _apply(self, pts):
-        out = pts.copy()
-        out[..., 0] += self.amplitude * tent(pts[..., 1])
-        return out
-
-    def _apply_inv(self, pts):
-        out = pts.copy()
-        out[..., 0] -= self.amplitude * tent(pts[..., 1])
-        return out
+    _moved = 0
 
 
 @dataclass(frozen=True)
-class LocalizedShear(TorusLift):
+class LocalizedShear(TorusLift, spec="localized_shear"):
     """Axis-aligned shear supported on a torus disk, identity outside it.
 
     The displacement of a point at scaled distance s = ρ/radius from the
@@ -182,38 +247,39 @@ class LocalizedShear(TorusLift):
     Lipschitz constant is ≤ 1/2. A single shot with a large amplitude is
     not injective; the substepped form is a homeomorphism for any
     amplitude, and its inverse is computed by per-substep fixed-point
-    iteration (contraction factor ≤ 1/2).
+    iteration (contraction factor ≤ 1/2). Amplitudes that need more than
+    `_MAX_SUBSTEPS` substeps are rejected.
 
     Points at torus distance ≥ radius from the center are returned
     bitwise unchanged.
     """
 
-    center: tuple[float, float]
-    radius: float
-    amplitude: float
-    axis: str  # "vertical" | "horizontal"
+    center: tuple[float, float] = (0.5, 0.5)
+    radius: float = 0.25
+    amplitude: float = 1.0
+    axis: str = "vertical"  # "vertical" | "horizontal"
 
     def __post_init__(self):
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        center = tuple(float(c) for c in _param("center", self.center, pair=True))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", float(_param("radius", self.radius)))
+        object.__setattr__(self, "amplitude", float(_param("amplitude", self.amplitude)))
         if not (0.0 < self.radius < 0.5):
             raise ValueError("radius must lie in (0, 1/2) so the disk embeds in the torus")
         if self.axis not in ("vertical", "horizontal"):
             raise ValueError("axis must be 'vertical' or 'horizontal'")
         if not (0.0 <= self.center[0] < 1.0 and 0.0 <= self.center[1] < 1.0):
             raise ValueError("center must lie in [0,1)²")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
-        try:
-            self.substeps
-        except OverflowError:
-            raise ValueError("amplitude too large: its substep count overflows") from None
+        self.substeps  # raises above _MAX_SUBSTEPS
 
     @property
     def substeps(self) -> int:
         # per-substep transverse Lipschitz = (|A|/N)·max|bump'|/radius ≤ 1/2
         need = 2.0 * _BUMP_MAX_SLOPE * abs(self.amplitude) / self.radius
+        if not need <= _MAX_SUBSTEPS:
+            raise ValueError(
+                f"amplitude too large: its substep count overflows the cap of {_MAX_SUBSTEPS}"
+            )
         return max(1, math.ceil(need))
 
     def _bump(self, x, y):
@@ -229,100 +295,93 @@ class LocalizedShear(TorusLift):
         out = pts.copy()
         x = out[..., 0]
         y = out[..., 1]
+        moved = y if self.axis == "vertical" else x  # a view into out
         a = self.amplitude / self.substeps
         for _ in range(self.substeps):
-            if self.axis == "vertical":
-                y += a * self._bump(x, y)
-            else:
-                x += a * self._bump(x, y)
+            moved += a * self._bump(x, y)
         return out
 
     def _apply_inv(self, pts):
         out = pts.copy()
         x = out[..., 0]
         y = out[..., 1]
+        moved = y if self.axis == "vertical" else x  # a view into out
         a = self.amplitude / self.substeps
         for _ in range(self.substeps):
-            if self.axis == "vertical":
-                y[...] = self._solve_substep(y, x, a, transverse_first=False)
-            else:
-                x[...] = self._solve_substep(x, y, a, transverse_first=True)
+            # solve m + a·bump = target for m by fixed-point iteration
+            target = moved.copy()
+            for _ in range(80):
+                m_new = target - a * self._bump(x, y)
+                converged = np.max(np.abs(m_new - moved), initial=0.0) < 1e-16
+                moved[...] = m_new
+                if converged:
+                    break
         return out
-
-    def _solve_substep(self, moved, fixed, a, transverse_first):
-        """Solve m + a·bump(m, fixed) = moved for m by fixed-point iteration."""
-        m = moved.copy()
-        for _ in range(80):
-            if transverse_first:
-                b = self._bump(m, fixed)
-            else:
-                b = self._bump(fixed, m)
-            m_new = moved - a * b
-            if np.max(np.abs(m_new - m), initial=0.0) < 1e-16:
-                return m_new
-            m = m_new
-        return m
 
 
 @dataclass(frozen=True)
-class Composition(TorusLift):
+class _Chain(TorusLift):
+    """Applies the lifts `_links` (an iterable) in order; a torus step sums
+    their exact windings."""
+
+    def _apply(self, pts):
+        for f in self._links:
+            pts = f._apply(pts)
+        return pts
+
+    def _apply_inv(self, pts):
+        for f in reversed(tuple(self._links)):
+            pts = f._apply_inv(pts)
+        return pts
+
+    def _step(self, u):
+        w = np.zeros(u.shape[:-1] + (2,), dtype=np.int64)
+        for f in self._links:
+            u, dw = f._step(u)
+            w += dw
+        return u, w
+
+
+@dataclass(frozen=True)
+class Composition(_Chain, spec="compose"):
     """Apply factors in list order (first entry acts first)."""
 
-    factors: tuple[TorusLift, ...]
+    factors: tuple[TorusLift, ...] = field(metadata={"spec": "maps"})
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("composition needs at least one factor")
 
-    def _apply(self, pts):
-        out = pts
-        for f in self.factors:
-            out = f._apply(out)
-        return out
-
-    def _apply_inv(self, pts):
-        out = pts
-        for f in reversed(self.factors):
-            out = f._apply_inv(out)
-        return out
+    @property
+    def _links(self):
+        return self.factors
 
 
 @dataclass(frozen=True)
-class Iterate(TorusLift):
+class Iterate(_Chain, spec="iterate"):
     base: TorusLift
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _param("k", self.k, integral=True))
         if self.k < 1:
             raise ValueError("iterate count must be a positive integer")
 
-    def _apply(self, pts):
-        out = pts
-        for _ in range(self.k):
-            out = self.base._apply(out)
-        return out
-
-    def _apply_inv(self, pts):
-        out = pts
-        for _ in range(self.k):
-            out = self.base._apply_inv(out)
-        return out
+    @property
+    def _links(self):
+        return itertools.repeat(self.base, self.k)
 
 
 @dataclass(frozen=True)
-class IntegerTranslate(TorusLift):
+class IntegerTranslate(TorusLift, spec="integer_translate"):
     """base followed by translation by an integer vector; same torus map."""
 
     base: TorusLift
     v: tuple[int, int]
 
     def __post_init__(self):
-        v = (int(self.v[0]), int(self.v[1]))
-        if tuple(self.v) != tuple(float(c) for c in v):
-            raise ValueError("integer translate needs an integer vector")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _param("v", self.v, pair=True, integral=True))
 
     def _apply(self, pts):
         return self.base._apply(pts) + np.asarray(self.v, dtype=float)
@@ -330,29 +389,27 @@ class IntegerTranslate(TorusLift):
     def _apply_inv(self, pts):
         return self.base._apply_inv(pts - np.asarray(self.v, dtype=float))
 
+    def _step(self, u):
+        u2, w = self.base._step(u)
+        return u2, w + np.asarray(self.v, dtype=np.int64)
+
 
 # --- public evaluation -----------------------------------------------------
 
 def eval_lift(lift: TorusLift, p) -> np.ndarray:
     """Evaluate the planar lift at p (shape (...,2)); rejects non-finite input."""
     pts = _as_points(p)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite input point")
     return lift._apply(pts)
 
 
 def eval_inverse(lift: TorusLift, p) -> np.ndarray:
     pts = _as_points(p)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite input point")
     return lift._apply_inv(pts)
 
 
 def project_to_torus(p) -> np.ndarray:
     """Reduce planar points mod 1 into [0,1)²."""
     pts = _as_points(p)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite input point")
     return pts - np.floor(pts)
 
 
@@ -360,29 +417,12 @@ def torus_step(lift: TorusLift, u: np.ndarray):
     """One projected step: u in [0,1)² -> (next u in [0,1)², int64 winding).
 
     Combinators that append exact integer data (IntegerTranslate) or chain
-    steps (Iterate, Composition) are handled structurally, so their windings
+    steps (Iterate, Composition) override `TorusLift._step`, so their windings
     are exact integer arithmetic on top of the base map's windings and the
     torus point stream is bit-identical to the base map's where the
     projected dynamics coincide.
     """
-    if isinstance(lift, IntegerTranslate):
-        u2, w = torus_step(lift.base, u)
-        return u2, w + np.asarray(lift.v, dtype=np.int64)
-    if isinstance(lift, Iterate):
-        w = np.zeros(u.shape[:-1] + (2,), dtype=np.int64)
-        for _ in range(lift.k):
-            u, dw = torus_step(lift.base, u)
-            w += dw
-        return u, w
-    if isinstance(lift, Composition):
-        w = np.zeros(u.shape[:-1] + (2,), dtype=np.int64)
-        for f in lift.factors:
-            u, dw = torus_step(f, u)
-            w += dw
-        return u, w
-    z = lift._apply(u)
-    k = np.floor(z)
-    return z - k, k.astype(np.int64)
+    return lift._step(u)
 
 
 def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
@@ -442,8 +482,6 @@ def iterate(lift: TorusLift, p, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be a positive integer")
     pts = _as_points(p)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite input point")
     base_w = np.floor(pts)
     for _, us, ws in torus_orbit(lift, pts - base_w, n, starts=pts):
         pass  # only the last step is wanted
@@ -452,6 +490,8 @@ def iterate(lift: TorusLift, p, n: int) -> np.ndarray:
 
 # --- built-in maps ----------------------------------------------------------
 
+# Aliases: a factory's signature declares its parameters and defaults.
+@_builtin("lm", label=True)
 def lm_map() -> TorusLift:
     """Tent shear in y followed by tent shear in x.
 
@@ -462,11 +502,13 @@ def lm_map() -> TorusLift:
     return Composition((VerticalTentShear(1.0), HorizontalTentShear(1.0)))
 
 
-def rotation_map(alpha: float, beta: float) -> TorusLift:
+@_builtin("rotation")
+def rotation_map(alpha: float = 0.0, beta: float = 0.0) -> TorusLift:
     """Rigid rotation of the torus by (alpha, beta)."""
     return Translation((alpha, beta))
 
 
+@_builtin("horseshoe_disk", label=True)
 def horseshoe_disk(center=(0.5, 0.5), radius=0.25, amplitude=6.0) -> TorusLift:
     """Vertical then horizontal localized shear sharing one support disk.
 
@@ -481,119 +523,87 @@ def horseshoe_disk(center=(0.5, 0.5), radius=0.25, amplitude=6.0) -> TorusLift:
     )
 
 
-# name -> (builder, parameter docs with defaults)
-BUILTIN_MAPS = {
-    "identity": (lambda params: Identity(), {}),
-    "rotation": (
-        lambda params: rotation_map(params.get("alpha", 0.0), params.get("beta", 0.0)),
-        {"alpha": 0.0, "beta": 0.0},
-    ),
-    "translation": (
-        lambda params: Translation(tuple(params["v"])),
-        {"v": [0.0, 0.0]},
-    ),
-    "lm": (lambda params: lm_map(), {}),
-    "horseshoe_disk": (
-        lambda params: horseshoe_disk(
-            tuple(params.get("center", (0.5, 0.5))),
-            params.get("radius", 0.25),
-            params.get("amplitude", 6.0),
-        ),
-        {"center": [0.5, 0.5], "radius": 0.25, "amplitude": 6.0},
-    ),
-    "vertical_tent_shear": (
-        lambda params: VerticalTentShear(params.get("amplitude", 1.0)),
-        {"amplitude": 1.0},
-    ),
-    "horizontal_tent_shear": (
-        lambda params: HorizontalTentShear(params.get("amplitude", 1.0)),
-        {"amplitude": 1.0},
-    ),
-    "localized_shear": (
-        lambda params: LocalizedShear(
-            tuple(params.get("center", (0.5, 0.5))),
-            params.get("radius", 0.25),
-            params.get("amplitude", 1.0),
-            params.get("axis", "vertical"),
-        ),
-        {"center": [0.5, 0.5], "radius": 0.25, "amplitude": 1.0, "axis": "vertical"},
-    ),
-    "compose": (
-        lambda params: Composition(tuple(from_map_spec(s) for s in params["maps"])),
-        {"maps": ["<map spec>", "..."]},
-    ),
-    "iterate": (
-        lambda params: Iterate(from_map_spec(params["base"]), params["k"]),
-        {"base": "<map spec>", "k": 2},
-    ),
-    "integer_translate": (
-        lambda params: IntegerTranslate(from_map_spec(params["base"]), tuple(params["v"])),
-        {"base": "<map spec>", "v": [1, 0]},
-    ),
-}
+def _parameters(builder) -> list:
+    """(spec key, argument name, default) per parameter of a registered
+    builder, in declaration order; a required one's default is
+    `inspect.Parameter.empty`."""
+    declared = fields(builder) if is_dataclass(builder) else ()
+    renamed = {f.name: f.metadata.get("spec", f.name) for f in declared}
+    args = inspect.signature(builder).parameters.values()
+    return [(renamed.get(a.name, a.name), a.name, a.default) for a in args]
+
+
+def map_defaults(name: str) -> dict:
+    """Declared parameters of built-in map `name` and their defaults;
+    a required parameter's value is "<required>"."""
+    return {
+        key: "<required>" if default is inspect.Parameter.empty else default
+        for key, _, default in _parameters(BUILTIN_MAPS[name])
+    }
 
 
 def builtin_map(name: str, **params) -> TorusLift:
-    if name not in BUILTIN_MAPS:
-        raise ValueError(f"unknown map {name!r}; known: {', '.join(sorted(BUILTIN_MAPS))}")
-    return BUILTIN_MAPS[name][0](params)
+    return from_map_spec({"map": name, "params": params})
 
 
 def from_map_spec(spec: dict) -> TorusLift:
-    """Build a lift from {"map": name, "params": {...}}."""
+    """Build a lift from {"map": name, "params": {...}}; an unknown map or
+    parameter, a missing one or an ill-shaped value raises ValueError."""
     if not isinstance(spec, dict) or "map" not in spec:
         raise ValueError("map spec must be a dict with a 'map' key")
     name = spec["map"]
-    if name not in BUILTIN_MAPS:
+    if not isinstance(name, str) or name not in BUILTIN_MAPS:
         raise ValueError(f"unknown map {name!r}; known: {', '.join(sorted(BUILTIN_MAPS))}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("'params' must be a dict")
-    try:
-        return BUILTIN_MAPS[name][0](params)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"bad parameters for map {name!r}: {exc}") from exc
+    builder = BUILTIN_MAPS[name]
+    declared = _parameters(builder)
+    keys = [key for key, _, _ in declared]
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for map {name!r}; it declares {keys}")
+    hints = typing.get_type_hints(builder)
+    kwargs = {}
+    for key, arg, default in declared:
+        if key not in params:
+            if default is inspect.Parameter.empty:
+                raise ValueError(f"map {name!r} needs parameter {key!r}")
+            continue
+        value = params[key]
+        if hints.get(arg) is TorusLift:
+            value = from_map_spec(value)
+        elif hints.get(arg) == tuple[TorusLift, ...]:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list of map specs, got {value!r}")
+            value = tuple(from_map_spec(s) for s in value)
+        kwargs[arg] = value
+    return builder(**kwargs)
+
+
+def _spec_value(value):
+    if isinstance(value, TorusLift):
+        return map_spec(value)
+    if isinstance(value, tuple):
+        return [_spec_value(v) for v in value]
+    return value
 
 
 def map_spec(lift: TorusLift) -> dict:
     """Serializable spec for a lift; inverse of from_map_spec up to aliases."""
-    if isinstance(lift, Identity):
-        return {"map": "identity", "params": {}}
-    if isinstance(lift, Translation):
-        return {"map": "translation", "params": {"v": list(lift.v)}}
-    if isinstance(lift, VerticalTentShear):
-        return {"map": "vertical_tent_shear", "params": {"amplitude": lift.amplitude}}
-    if isinstance(lift, HorizontalTentShear):
-        return {"map": "horizontal_tent_shear", "params": {"amplitude": lift.amplitude}}
-    if isinstance(lift, LocalizedShear):
-        return {
-            "map": "localized_shear",
-            "params": {
-                "center": list(lift.center),
-                "radius": lift.radius,
-                "amplitude": lift.amplitude,
-                "axis": lift.axis,
-            },
-        }
-    if isinstance(lift, Composition):
-        return {"map": "compose", "params": {"maps": [map_spec(f) for f in lift.factors]}}
-    if isinstance(lift, Iterate):
-        return {"map": "iterate", "params": {"base": map_spec(lift.base), "k": lift.k}}
-    if isinstance(lift, IntegerTranslate):
-        return {
-            "map": "integer_translate",
-            "params": {"base": map_spec(lift.base), "v": list(lift.v)},
-        }
-    raise ValueError(f"cannot serialize lift of type {type(lift).__name__}")
+    name = getattr(lift, "spec_name", None)
+    if name is None:
+        raise ValueError(f"cannot serialize lift of type {type(lift).__name__}")
+    params = {key: _spec_value(getattr(lift, arg)) for key, arg, _ in _parameters(type(lift))}
+    return {"map": name, "params": params}
 
 
 def map_label(lift: TorusLift) -> str:
     """Short deterministic identifier used in artifacts."""
     spec = map_spec(lift)
-    if spec == map_spec(lm_map()):
-        return "lm"
-    if spec == map_spec(horseshoe_disk()):
-        return "horseshoe_disk"
+    for alias in _LABELLED_ALIASES:
+        if spec == map_spec(BUILTIN_MAPS[alias]()):
+            return alias
     name = spec["map"]
     params = spec.get("params", {})
     if not params:

@@ -95,6 +95,29 @@ def test_overflowing_localized_shear_amplitude_exits_2(tmp_path):
     assert "substep count overflows" in r.stderr
 
 
+def test_localized_shear_substep_cap_exits_2(tmp_path):
+    # finite substep count (1.2e10), far above the cap: rejected before any step
+    spec = '{"map": "localized_shear", "params": {"amplitude": 1e9}}'
+    r = run_cli(["rotset", "--map-json", spec, "--grid", "4", "--horizons", "1,2"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "substep count overflows the cap" in r.stderr
+
+
+def test_undeclared_map_flag_exits_2(tmp_path):
+    r = run_cli(["rotset", "--map", "lm", "--amplitude", "3", "--grid", "4", "--horizons", "1,2"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "'amplitude'" in r.stderr
+    assert not (tmp_path / "rotset.json").exists()
+
+
+def test_map_json_parameter_typo_exits_2(tmp_path):
+    spec = '{"map": "vertical_tent_shear", "params": {"amplitud": 2}}'
+    r = run_cli(["entropy", "--map-json", spec, "--resolution", "40", "--lengths", "2..3"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "'amplitud'" in r.stderr
+    assert not (tmp_path / "entropy.json").exists()
+
+
 def test_map_json_inline_and_file(tmp_path):
     spec = {"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}}
     r = run_cli(

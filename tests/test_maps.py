@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from rotaset import (
     tent,
     torus_step,
 )
+from rotaset.maps import _MAX_SUBSTEPS, BUILTIN_MAPS, TorusLift, map_defaults, map_label
 
 from .conftest import IRRATIONAL
 
@@ -254,3 +257,159 @@ def test_integer_translate_requires_integers():
 def test_iterate_requires_positive_k():
     with pytest.raises(ValueError):
         Iterate(Identity(), 0)
+
+
+_LM_SPEC = (
+    "{'map': 'compose', 'params': {'maps': [{'map': 'vertical_tent_shear', 'params': {'amplitude': 1.0}}, "
+    "{'map': 'horizontal_tent_shear', 'params': {'amplitude': 1.0}}]}}"
+)
+
+# artifact labels as released: they are bytes of every rotset/entropy artifact
+GOLDEN_LABELS = [
+    ({"map": "identity"}, "identity"),
+    ({"map": "lm"}, "lm"),
+    ({"map": "rotation"}, "translation(v=[0.0, 0.0])"),
+    ({"map": "rotation", "params": {"alpha": 0.41421356, "beta": 0.73205081}}, "translation(v=[0.41421356, 0.73205081])"),
+    ({"map": "translation", "params": {"v": [1, 2]}}, "translation(v=[1.0, 2.0])"),
+    ({"map": "horseshoe_disk"}, "horseshoe_disk"),
+    ({"map": "horseshoe_disk", "params": {"amplitude": 6}}, "horseshoe_disk"),
+    (
+        {"map": "horseshoe_disk", "params": {"center": [0.3, 0.6]}},
+        "compose(maps=[{'map': 'localized_shear', 'params': {'center': [0.3, 0.6], 'radius': 0.25, "
+        "'amplitude': 6.0, 'axis': 'vertical'}}, {'map': 'localized_shear', 'params': {'center': [0.3, 0.6], "
+        "'radius': 0.25, 'amplitude': 6.0, 'axis': 'horizontal'}}])",
+    ),
+    ({"map": "vertical_tent_shear"}, "vertical_tent_shear(amplitude=1.0)"),
+    ({"map": "vertical_tent_shear", "params": {"amplitude": 2}}, "vertical_tent_shear(amplitude=2)"),
+    ({"map": "horizontal_tent_shear", "params": {"amplitude": -0.75}}, "horizontal_tent_shear(amplitude=-0.75)"),
+    ({"map": "localized_shear"}, "localized_shear(amplitude=1.0,axis=vertical,center=[0.5, 0.5],radius=0.25)"),
+    (
+        {"map": "localized_shear", "params": {"center": [0.2, 0.7], "radius": 0.1, "amplitude": 2, "axis": "horizontal"}},
+        "localized_shear(amplitude=2.0,axis=horizontal,center=[0.2, 0.7],radius=0.1)",
+    ),
+    (
+        {"map": "compose", "params": {"maps": [
+            {"map": "vertical_tent_shear", "params": {"amplitude": 1}},
+            {"map": "horizontal_tent_shear", "params": {"amplitude": 1}},
+        ]}},
+        "lm",
+    ),
+    (
+        {"map": "compose", "params": {"maps": [
+            {"map": "vertical_tent_shear", "params": {"amplitude": -2}},
+            {"map": "horizontal_tent_shear", "params": {"amplitude": 1}},
+        ]}},
+        "compose(maps=[{'map': 'vertical_tent_shear', 'params': {'amplitude': -2}}, "
+        "{'map': 'horizontal_tent_shear', 'params': {'amplitude': 1}}])",
+    ),
+    ({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2.0}}, f"iterate(base={_LM_SPEC},k=2)"),
+    (
+        {"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [3, -2]}},
+        f"integer_translate(base={_LM_SPEC},v=[3, -2])",
+    ),
+    (
+        {"map": "integer_translate", "params": {
+            "base": {"map": "integer_translate", "params": {"base": {"map": "rotation"}, "v": [0, 1]}},
+            "v": [-1.0, 0.0],
+        }},
+        "integer_translate(base={'map': 'integer_translate', 'params': {'base': {'map': 'translation', "
+        "'params': {'v': [0.0, 0.0]}}, 'v': [0, 1]}},v=[-1, 0])",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,label", GOLDEN_LABELS)
+def test_map_label_golden(spec, label):
+    assert map_label(from_map_spec(spec)) == label
+
+
+def test_declared_variant_needs_no_registry_edit():
+    try:
+
+        @dataclass(frozen=True)
+        class ShiftAfter(TorusLift, spec="test_shift_after"):
+            """base, then a shift by (t, t)."""
+
+            base: TorusLift
+            t: float = 0.25
+
+            def _apply(self, pts):
+                return self.base._apply(pts) + self.t
+
+            def _apply_inv(self, pts):
+                return self.base._apply_inv(pts - self.t)
+
+        spec = {"map": "test_shift_after", "params": {"base": {"map": "lm"}}}
+        lift = from_map_spec(spec)
+        assert lift == ShiftAfter(lm_map())
+        assert map_spec(lift) == {"map": "test_shift_after", "params": {"base": map_spec(lm_map()), "t": 0.25}}
+        assert from_map_spec(map_spec(lift)) == lift
+        assert map_label(lift) == f"test_shift_after(base={_LM_SPEC},t=0.25)"
+        assert map_defaults("test_shift_after") == {"base": "<required>", "t": 0.25}
+        u, w = torus_step(lift, np.array([[0.25, 0.0]]))  # lm: (1.25, 0.5), then + 0.25
+        assert np.array_equal(u, [[0.5, 0.75]]) and np.array_equal(w, [[1, 0]])
+        with pytest.raises(ValueError, match="'s'"):
+            from_map_spec({"map": "test_shift_after", "params": {"base": {"map": "lm"}, "s": 1}})
+    finally:
+        BUILTIN_MAPS.pop("test_shift_after", None)
+    assert "test_shift_after" not in BUILTIN_MAPS
+
+
+def test_spec_name_is_declared_once():
+    with pytest.raises(ValueError, match="already registered"):
+
+        class Twice(TorusLift, spec="translation"):
+            pass
+
+    assert BUILTIN_MAPS["translation"] is Translation
+
+
+def test_builtin_iterate_without_params_is_a_value_error():
+    with pytest.raises(ValueError, match="'base'"):
+        builtin_map("iterate")
+
+
+def test_map_defaults_come_from_declarations():
+    assert map_defaults("translation") == {"v": "<required>"}
+    assert map_defaults("rotation") == {"alpha": 0.0, "beta": 0.0}
+    assert map_defaults("compose") == {"maps": "<required>"}
+    assert map_defaults("localized_shear") == {
+        "center": (0.5, 0.5), "radius": 0.25, "amplitude": 1.0, "axis": "vertical"
+    }
+    assert map_defaults("horseshoe_disk") == {"center": (0.5, 0.5), "radius": 0.25, "amplitude": 6.0}
+    assert map_defaults("lm") == {}
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"map": "lm", "params": {"amplitude": 3}}, "'amplitude'"),
+        ({"map": "rotation", "params": {"radius": 0.1}}, "'radius'"),
+        ({"map": "vertical_tent_shear", "params": {"amplitud": 2}}, "'amplitud'"),
+        ({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2.5}}, "k must be an integer"),
+        ({"map": "iterate", "params": {"base": {"map": "lm"}, "k": True}}, "k must be a number"),
+        ({"map": "translation", "params": {"v": [0.1, 0.2, 0.9]}}, "v must be a pair"),
+        ({"map": "localized_shear", "params": {"center": [0.1, 0.2, 0.9]}}, "center must be a pair"),
+        ({"map": "vertical_tent_shear", "params": {"amplitude": True}}, "amplitude must be a number"),
+        ({"map": "localized_shear", "params": {"radius": "0.1"}}, "radius must be a number"),
+        ({"map": "compose", "params": {"maps": 5}}, "maps must be a list"),
+        ({"map": ["lm"]}, "unknown map"),
+    ],
+)
+def test_bad_spec_parameters_are_value_errors(spec, message):
+    with pytest.raises(ValueError, match=message):
+        from_map_spec(spec)
+
+
+def test_integral_parameters_accept_integral_floats():
+    lift = from_map_spec({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2.0}})
+    assert lift.k == 2 and type(lift.k) is int
+    assert VerticalTentShear(2).amplitude == 2 and type(VerticalTentShear(2).amplitude) is int
+
+
+def test_localized_shear_substep_cap():
+    radius = 0.25
+    at_cap = LocalizedShear(amplitude=800.0, radius=radius)
+    assert at_cap.substeps <= _MAX_SUBSTEPS
+    with pytest.raises(ValueError, match="substep count overflows the cap"):
+        LocalizedShear(amplitude=1e9, radius=radius)
