@@ -73,6 +73,10 @@ _BLOCK_ROWS = 16
 # 1.2e10, and one point-step would not finish in 20 s.
 _MAX_SUBSTEPS = 10_000
 
+# Largest `iterate` count k: a step runs k base steps, about 0.2 s for `lm`
+# at batch 1 (nested iterates multiply their counts).
+_MAX_ITERATE = 10_000
+
 # Built-in map name -> lift class or alias factory. Filled by declarations:
 # `class V(TorusLift, spec="name")` and `@_builtin("name")`.
 BUILTIN_MAPS: dict = {}
@@ -115,8 +119,9 @@ def tent(t):
 def _param(name: str, value, pair: bool = False, integral: bool = False):
     """A spec parameter, checked: a finite number that is not a bool, or
     with `pair` a list or tuple of exactly two, returned as a tuple. With
-    `integral` each number must equal an int (2.0 means 2) and comes back
-    as that int; else numbers come back as given. Errors name the value."""
+    `integral` each number must equal an int (2.0 means 2) of magnitude
+    under 2⁶³, so that it fits an int64 winding, and comes back as that int;
+    else numbers come back as given. Errors name the value."""
     if pair:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ValueError(f"{name} must be a pair of two numbers, got {value!r}")
@@ -126,8 +131,8 @@ def _param(name: str, value, pair: bool = False, integral: bool = False):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if integral:
-        if value != int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value != int(value) or not abs(value) < 2**63:
+            raise ValueError(f"{name} must be an integer of magnitude under 2**63, got {value!r}")
         return int(value)
     return value
 
@@ -365,8 +370,8 @@ class Iterate(_Chain, spec="iterate"):
 
     def __post_init__(self):
         object.__setattr__(self, "k", _param("k", self.k, integral=True))
-        if self.k < 1:
-            raise ValueError("iterate count must be a positive integer")
+        if not 1 <= self.k <= _MAX_ITERATE:
+            raise ValueError(f"iterate count must be an integer in [1, {_MAX_ITERATE}], got {self.k}")
 
     @property
     def _links(self):

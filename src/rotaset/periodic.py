@@ -33,6 +33,10 @@ _MAX_NEWTON_ITERS = 50
 _MAX_STEP = 0.5  # damping: per-component Newton step clamp
 _CONTINUUM_FRACTION = 0.25
 _CONTINUUM_SAMPLE = 16
+# Most (target, seed) rows per Newton batch. The probe call iterates four
+# points per row, and peak RSS grows with the cap: 2048 rows cost about
+# 0.4 MB more than 1024 in the benchmark's cover-periodic run.
+_BATCH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -94,83 +98,85 @@ class ParityCertificate(NamedTuple):
 def _torus_dist_inf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = np.abs(a - b) % 1.0
     d = np.minimum(d, 1.0 - d)
-    return np.max(d, axis=-1)
+    return np.maximum(d[..., 0], d[..., 1])  # a reduce over axis -1 is slower
+
+
+def _residual(lift: TorusLift, u: np.ndarray, q: int, p: np.ndarray) -> np.ndarray:
+    """‖F^q(u) − u − p‖∞ per point."""
+    return np.max(np.abs(iterate(lift, u, q) - u - p), axis=-1)
 
 
 def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
-    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once.
+    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once; seed
+    i solves for its own target p[i] (p has the shape of seeds, (N, 2)).
 
-    Returns (roots, converged mask, singular-seed count). The Jacobian is a
-    central difference, solved as an explicit 2×2 system; seeds where it
-    degenerates are dropped and counted (constant-displacement maps have
-    DF^q = I everywhere, so G is affine-degenerate and Newton is moot —
-    such seeds either start converged or are unsolvable).
+    Returns (roots, converged mask, singular-seed count); rows that did
+    not converge hold their seed. The Jacobian is a central difference,
+    solved as an explicit 2×2 system; seeds where it degenerates are
+    dropped and counted (constant-displacement maps have DF^q = I
+    everywhere, so G is affine-degenerate and Newton is moot — such seeds
+    either start converged or are unsolvable). Each iteration
+    makes two `iterate` calls: G on the active seeds, then the four probes
+    x ± h·e₀, x ± h·e₁ of the seeds not yet converged as one (4, n, 2)
+    batch.
     """
     x = seeds.copy()
-    n = len(x)
-    active = np.ones(n, dtype=bool)
-    converged = np.zeros(n, dtype=bool)
-    singular = np.zeros(n, dtype=bool)
+    converged = np.zeros(len(x), dtype=bool)
+    singular = 0
+    xa, pa, idx = seeds, p, np.arange(len(x))
+    e0, e1 = np.array([_FD_STEP, 0.0]), np.array([0.0, _FD_STEP])
 
     for _ in range(_MAX_NEWTON_ITERS):
-        if not active.any():
+        if len(idx) == 0:
             break
-        xa = x[active]
-        g = iterate(lift, xa, q) - xa - p
-        res = np.max(np.abs(g), axis=-1)
-        done = res <= _NEWTON_TOL
+        g = iterate(lift, xa, q) - xa - pa
+        done = np.max(np.abs(g), axis=-1) <= _NEWTON_TOL
+        if done.any():
+            converged[idx[done]] = True
+            x[idx[done]] = xa[done]
+            keep = ~done
+            xa, pa, g, idx = xa[keep], pa[keep], g[keep], idx[keep]
+            if len(idx) == 0:
+                break
 
-        idx = np.flatnonzero(active)
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        if not (~done).any():
-            break
-        xa = xa[~done]
-        g = g[~done]
-        idx = idx[~done]
-
-        e0 = np.array([_FD_STEP, 0.0])
-        e1 = np.array([0.0, _FD_STEP])
-        j00_10 = (iterate(lift, xa + e0, q) - iterate(lift, xa - e0, q)) / (2 * _FD_STEP)
-        j01_11 = (iterate(lift, xa + e1, q) - iterate(lift, xa - e1, q)) / (2 * _FD_STEP)
-        a = j00_10[:, 0] - 1.0
-        c = j00_10[:, 1]
-        b = j01_11[:, 0]
-        d = j01_11[:, 1] - 1.0
+        f = iterate(lift, np.stack([xa + e0, xa - e0, xa + e1, xa - e1]), q)
+        jac = (f[0::2] - f[1::2]) / (2 * _FD_STEP)  # columns ∂F/∂x₀, ∂F/∂x₁
+        a = jac[0, :, 0] - 1.0
+        c = jac[0, :, 1]
+        b = jac[1, :, 0]
+        d = jac[1, :, 1] - 1.0
         det = a * d - b * c
         bad = (np.abs(det) < 1e-12) | ~np.isfinite(det)
         if bad.any():
-            singular[idx[bad]] = True
-            active[idx[bad]] = False
+            singular += int(bad.sum())
             keep = ~bad
-            xa, g, idx = xa[keep], g[keep], idx[keep]
+            xa, pa, g, idx = xa[keep], pa[keep], g[keep], idx[keep]
             a, b, c, d, det = a[keep], b[keep], c[keep], d[keep], det[keep]
-        if len(idx) == 0:
-            continue
         dx0 = (-g[:, 0] * d + g[:, 1] * b) / det
         dx1 = (-g[:, 1] * a + g[:, 0] * c) / det
         step = np.clip(np.stack([dx0, dx1], axis=-1), -_MAX_STEP, _MAX_STEP)
         xa = xa + step
         finite = np.all(np.isfinite(xa), axis=-1)
         if not finite.all():
-            active[idx[~finite]] = False
-            xa, idx = xa[finite], idx[finite]
-        x[idx] = xa
+            xa, pa, idx = xa[finite], pa[finite], idx[finite]
 
-    return x, converged, int(singular.sum())
+    return x, converged, singular
 
 
-def _proper_divisors(q: int):
-    return [d for d in range(1, q) if q % d == 0]
-
-
-def _orbit_points(lift: TorusLift, u: np.ndarray, q: int) -> np.ndarray:
-    pts = [u]
-    z = u
-    for _ in range(q - 1):
-        z = iterate(lift, z, 1)
-        pts.append(z - np.floor(z))
-    return np.asarray(pts)
+def _greedy_distinct(disp: np.ndarray, dist) -> np.ndarray:
+    """Indices of the roots kept by a greedy pass in array order: keep root
+    i, then mask out every later root with the same displacement at
+    dist(i, later) ≤ 1e-6, for an index array `later`."""
+    label = np.unique(disp, axis=0, return_inverse=True)[1].reshape(-1)
+    alive = np.ones(len(disp), dtype=bool)
+    kept = []
+    for i in range(len(disp)):
+        if not alive[i]:
+            continue
+        kept.append(i)
+        later = i + 1 + np.flatnonzero(alive[i + 1 :] & (label[i + 1 :] == label[i]))
+        alive[later[dist(i, later) <= _DEDUP_TOL]] = False
+    return np.asarray(kept, dtype=np.intp)
 
 
 def find_periodic(
@@ -182,109 +188,91 @@ def find_periodic(
     """All period-q orbits reachable by Newton from a seed grid.
 
     For each integer p with |p|∞ ≤ displacement_box·q, solves
-    F^q(x) = x + p. Converged roots are reduced to the torus, deduplicated
-    at distance 1e-6, filtered against lower divisor periods, and collapsed
-    to one representative per orbit (the lexicographically smallest orbit
-    point). Results are sorted by point.
+    F^q(x) = x + p. The (p, seed) pairs, p₁ outer, p₂ inner and seeds
+    row-major, run as Newton batches of at most `_BATCH_ROWS` rows.
+    Converged roots are reduced to the torus, deduplicated at distance
+    1e-6, filtered against lower divisor periods, and collapsed to one
+    representative per orbit (the lexicographically smallest orbit point).
+    Dedup and collapse are greedy in lexicographic root order: keep a root,
+    then mask out every later root with the same p within 1e-6 of it (of
+    its orbit, for the collapse). Results are sorted by point.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
     if displacement_box < 0:
         raise ValueError("displacement box must be ≥ 0")
     rows, cols = int(seed_grid[0]), int(seed_grid[1])
+    if rows < 1 or cols < 1:
+        raise ValueError("seed grid must be nonempty")
     ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     seeds = np.stack([(ii + 0.5) / rows, (jj + 0.5) / cols], axis=-1).reshape(-1, 2)
 
-    bound = displacement_box * q
-    raw_roots = []  # (u in [0,1)², p)
-    total_converged = 0
-    total_singular = 0
-    for p1 in range(-bound, bound + 1):
-        for p2 in range(-bound, bound + 1):
-            p = np.array([p1, p2], dtype=float)
-            roots, conv, nsing = _newton_batch(lift, seeds, q, p)
-            total_singular += nsing
-            if not conv.any():
-                continue
-            total_converged += int(conv.sum())
-            good = roots[conv]
-            u = good - np.floor(good)
-            res = np.max(np.abs(iterate(lift, u, q) - u - p), axis=-1)
-            ok = res <= _RESIDUAL_TOL
-            for point in u[ok]:
-                raw_roots.append((point, (p1, p2)))
-
-    if not raw_roots:
-        return PeriodicSearch((), q, False, rows * cols, total_converged, total_singular)
+    span = np.arange(-displacement_box * q, displacement_box * q + 1, dtype=float)
+    targets = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
+    pairs = len(targets) * len(seeds)
+    found_u, found_p = [np.empty((0, 2))], [np.empty((0, 2))]  # roots in [0,1)², their p
+    total_converged = total_singular = 0
+    for first in range(0, pairs, _BATCH_ROWS):
+        t, s = np.divmod(np.arange(first, min(first + _BATCH_ROWS, pairs)), len(seeds))
+        roots, conv, nsing = _newton_batch(lift, seeds[s], q, targets[t])
+        total_singular += nsing
+        if not conv.any():
+            continue
+        total_converged += int(conv.sum())
+        good, p = roots[conv], targets[t[conv]]
+        u = good - np.floor(good)
+        ok = _residual(lift, u, q, p) <= _RESIDUAL_TOL
+        found_u.append(u[ok])
+        found_p.append(p[ok])
+    u, p = np.concatenate(found_u), np.concatenate(found_p)
 
     # point-level dedup (flag statistics count distinct roots, not orbits)
-    points = np.asarray([r[0] for r in raw_roots])
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    distinct: list[tuple[np.ndarray, tuple[int, int]]] = []
-    for i in order:
-        u, p = points[i], raw_roots[i][1]
-        if any(_torus_dist_inf(u, v) <= _DEDUP_TOL and p == pv for v, pv in distinct):
-            continue
-        distinct.append((u, p))
+    order = np.lexsort((u[:, 1], u[:, 0]))
+    u, p = u[order], p[order]
+    distinct = _greedy_distinct(p, lambda i, later: _torus_dist_inf(u[later], u[i]))
+    u, p = u[distinct], p[distinct]
 
-    non_isolated = total_converged > 0 and len(distinct) > _CONTINUUM_FRACTION * total_converged
+    non_isolated = total_converged > 0 and len(u) > _CONTINUUM_FRACTION * total_converged
 
     # drop roots whose true period divides q properly
-    filtered = []
-    for u, p in distinct:
-        is_lower = False
-        for d in _proper_divisors(q):
+    lower = np.zeros(len(u), dtype=bool)
+    for d in range(1, q):
+        if q % d == 0:
             z = iterate(lift, u, d)
             k = np.round(z - u)
-            if (
-                np.max(np.abs(z - u - k)) <= _DEDUP_TOL
-                and _torus_dist_inf(z - np.floor(z), u) <= _DEDUP_TOL
-            ):
-                is_lower = True
-                break
-        if not is_lower:
-            filtered.append((u, p))
+            lower |= (np.max(np.abs(z - u - k), axis=-1) <= _DEDUP_TOL) & (
+                _torus_dist_inf(z - np.floor(z), u) <= _DEDUP_TOL
+            )
+    u, p = u[~lower], p[~lower]
 
     # collapse orbit mates to the lexicographically smallest orbit point;
     # membership is tested against the whole orbit, not the representative
     # alone — near the 0/1 wrap the lexicographic minimum of an orbit is not
     # stable under the float noise of iterating from different roots
-    collapsed: list[tuple[np.ndarray, tuple[int, int]]] = []
-    for u, p in filtered:
-        orbit = _orbit_points(lift, u, q)
-        if any(
-            p == pv and float(np.min(_torus_dist_inf(orbit, v))) <= _DEDUP_TOL
-            for v, pv in collapsed
-        ):
-            continue
-        best = min(range(q), key=lambda j: (orbit[j][0], orbit[j][1]))
-        collapsed.append((orbit[best], p))
+    orbit = [u]
+    z = u
+    for _ in range(q - 1):
+        z = iterate(lift, z, 1)
+        orbit.append(z - np.floor(z))
+    orbit = np.stack(orbit)  # (q, roots, 2)
+    best = np.lexsort((orbit[..., 1], orbit[..., 0]), axis=0)[0]
+    reps = orbit[best, np.arange(len(u))]
+    mates = _greedy_distinct(
+        p, lambda i, later: np.min(_torus_dist_inf(orbit[:, later], reps[i]), axis=0)
+    )
+    u, p = reps[mates], p[mates]
 
-    orbits = []
-    for u, p in sorted(collapsed, key=lambda t: (t[0][0], t[0][1])):
-        pv = np.asarray(p, dtype=float)
-        residual = float(np.max(np.abs(iterate(lift, u, q) - u - pv)))
-        if residual > _RESIDUAL_TOL:
-            continue  # mate drifted past tolerance; original root already reported
-        orbits.append(
-            PeriodicOrbit(
-                point=(float(u[0]), float(u[1])),
-                period=q,
-                displacement=(int(p[0]), int(p[1])),
-                residual=residual,
-            )
-        )
-
+    order = np.lexsort((u[:, 1], u[:, 0]))
+    u, p = u[order], p[order]
+    orbits = [
+        PeriodicOrbit((float(pt[0]), float(pt[1])), q, (int(pv[0]), int(pv[1])), float(r))
+        for pt, pv, r in zip(u, p, _residual(lift, u, q, p))
+        if r <= _RESIDUAL_TOL  # else a mate drifted past tolerance; its root is reported
+    ]
     if non_isolated:
         orbits = orbits[:_CONTINUUM_SAMPLE]
-
     return PeriodicSearch(
-        orbits=tuple(orbits),
-        period=q,
-        non_isolated=bool(non_isolated),
-        seeds_total=rows * cols,
-        seeds_converged=total_converged,
-        seeds_singular=total_singular,
+        tuple(orbits), q, bool(non_isolated), rows * cols, total_converged, total_singular
     )
 
 

@@ -103,6 +103,38 @@ def test_localized_shear_substep_cap_exits_2(tmp_path):
     assert "substep count overflows the cap" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        '{"base": {"map": "lm"}, "v": [1e20, 0]}',
+        '{"base": {"map": "lm"}, "k": 1e20}',
+        '{"base": {"map": "lm"}, "k": 1e9}',
+    ],
+    ids=["translate-1e20", "iterate-1e20", "iterate-1e9"],
+)
+def test_integral_spec_value_a_step_cannot_hold_exits_2(tmp_path, params):
+    name = "integer_translate" if '"v"' in params else "iterate"
+    spec = f'{{"map": "{name}", "params": {params}}}'
+    r = run_cli(["rotset", "--map-json", spec, "--grid", "4", "--horizons", "1,2"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "rotset.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["periodic", "--map", "lm", "--period", "1", "--seeds", "0"],
+        ["verify", "--map", "lm", "--property", "sandwich", "--grid", "8", "--horizons", "20,40", "--seeds", "0"],
+    ],
+    ids=["periodic", "verify-sandwich"],
+)
+def test_empty_seed_grid_exits_2(tmp_path, args):
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "seed grid must be nonempty" in r.stderr
+
+
 def test_undeclared_map_flag_exits_2(tmp_path):
     r = run_cli(["rotset", "--map", "lm", "--amplitude", "3", "--grid", "4", "--horizons", "1,2"], tmp_path)
     assert r.returncode == 2, r.stderr

@@ -259,6 +259,11 @@ def test_iterate_requires_positive_k():
         Iterate(Identity(), 0)
 
 
+def test_integral_bounds_are_inclusive_of_the_largest_steps():
+    assert Iterate(Identity(), 10_000).k == 10_000
+    assert IntegerTranslate(Identity(), (2**63 - 1, -(2**63 - 1))).v == (2**63 - 1, -(2**63 - 1))
+
+
 _LM_SPEC = (
     "{'map': 'compose', 'params': {'maps': [{'map': 'vertical_tent_shear', 'params': {'amplitude': 1.0}}, "
     "{'map': 'horizontal_tent_shear', 'params': {'amplitude': 1.0}}]}}"
@@ -394,6 +399,10 @@ def test_map_defaults_come_from_declarations():
         ({"map": "localized_shear", "params": {"radius": "0.1"}}, "radius must be a number"),
         ({"map": "compose", "params": {"maps": 5}}, "maps must be a list"),
         ({"map": ["lm"]}, "unknown map"),
+        ({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 1e20}}, "under 2\\*\\*63"),
+        ({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 10_001}}, "iterate count"),
+        ({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [1e20, 0]}}, "under 2\\*\\*63"),
+        ({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [0, -(2**63)]}}, "under 2\\*\\*63"),
     ],
 )
 def test_bad_spec_parameters_are_value_errors(spec, message):

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,17 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotaset import (
+    Identity,
+    IterationError,
+    PeriodicOrbit,
+    PeriodicSearch,
+    TorusLift,
     Translation,
     contains_point,
     estimate_rotation_set,
     find_periodic,
+    horseshoe_disk,
     iterate,
+    lm_map,
     parity_certificate,
     polygon_area,
     realized_vectors,
 )
+from rotaset import periodic
+from rotaset.periodic import (
+    _CONTINUUM_FRACTION,
+    _CONTINUUM_SAMPLE,
+    _DEDUP_TOL,
+    _FD_STEP,
+    _MAX_NEWTON_ITERS,
+    _MAX_STEP,
+    _NEWTON_TOL,
+    _RESIDUAL_TOL,
+)
 
-from .conftest import UNIT_SQUARE
+from .conftest import UNIT_SQUARE, EscapesRightHalf
 
 even = st.integers(-500_000, 500_000).map(lambda k: 2 * k)
 even_pair = st.tuples(even, even)
@@ -112,6 +132,251 @@ def test_find_periodic_validates(lm):
         find_periodic(lm, 0)
     with pytest.raises(ValueError):
         find_periodic(lm, 1, displacement_box=-1)
+    for grid in ((0, 0), (0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="seed grid"):
+            find_periodic(lm, 1, seed_grid=grid)
+
+
+def _torus_dist_inf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d = np.abs(a - b) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return np.max(d, axis=-1)
+
+
+def _newton_batch_reference(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
+    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once.
+
+    Returns (roots, converged mask, singular-seed count). The Jacobian is a
+    central difference, solved as an explicit 2×2 system; seeds where it
+    degenerates are dropped and counted (constant-displacement maps have
+    DF^q = I everywhere, so G is affine-degenerate and Newton is moot —
+    such seeds either start converged or are unsolvable).
+    """
+    x = seeds.copy()
+    n = len(x)
+    active = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    singular = np.zeros(n, dtype=bool)
+
+    for _ in range(_MAX_NEWTON_ITERS):
+        if not active.any():
+            break
+        xa = x[active]
+        g = iterate(lift, xa, q) - xa - p
+        res = np.max(np.abs(g), axis=-1)
+        done = res <= _NEWTON_TOL
+
+        idx = np.flatnonzero(active)
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        if not (~done).any():
+            break
+        xa = xa[~done]
+        g = g[~done]
+        idx = idx[~done]
+
+        e0 = np.array([_FD_STEP, 0.0])
+        e1 = np.array([0.0, _FD_STEP])
+        j00_10 = (iterate(lift, xa + e0, q) - iterate(lift, xa - e0, q)) / (2 * _FD_STEP)
+        j01_11 = (iterate(lift, xa + e1, q) - iterate(lift, xa - e1, q)) / (2 * _FD_STEP)
+        a = j00_10[:, 0] - 1.0
+        c = j00_10[:, 1]
+        b = j01_11[:, 0]
+        d = j01_11[:, 1] - 1.0
+        det = a * d - b * c
+        bad = (np.abs(det) < 1e-12) | ~np.isfinite(det)
+        if bad.any():
+            singular[idx[bad]] = True
+            active[idx[bad]] = False
+            keep = ~bad
+            xa, g, idx = xa[keep], g[keep], idx[keep]
+            a, b, c, d, det = a[keep], b[keep], c[keep], d[keep], det[keep]
+        if len(idx) == 0:
+            continue
+        dx0 = (-g[:, 0] * d + g[:, 1] * b) / det
+        dx1 = (-g[:, 1] * a + g[:, 0] * c) / det
+        step = np.clip(np.stack([dx0, dx1], axis=-1), -_MAX_STEP, _MAX_STEP)
+        xa = xa + step
+        finite = np.all(np.isfinite(xa), axis=-1)
+        if not finite.all():
+            active[idx[~finite]] = False
+            xa, idx = xa[finite], idx[finite]
+        x[idx] = xa
+
+    return x, converged, int(singular.sum())
+
+
+def _proper_divisors(q: int):
+    return [d for d in range(1, q) if q % d == 0]
+
+
+def _orbit_points(lift: TorusLift, u: np.ndarray, q: int) -> np.ndarray:
+    pts = [u]
+    z = u
+    for _ in range(q - 1):
+        z = iterate(lift, z, 1)
+        pts.append(z - np.floor(z))
+    return np.asarray(pts)
+
+
+def _find_periodic_reference(
+    lift: TorusLift,
+    q: int,
+    displacement_box: int = 2,
+    seed_grid=(64, 64),
+) -> PeriodicSearch:
+    """The per-target, per-root `find_periodic` that the batched array
+    passes replace, kept verbatim as their reference.
+
+    All period-q orbits reachable by Newton from a seed grid.
+
+    For each integer p with |p|∞ ≤ displacement_box·q, solves
+    F^q(x) = x + p. Converged roots are reduced to the torus, deduplicated
+    at distance 1e-6, filtered against lower divisor periods, and collapsed
+    to one representative per orbit (the lexicographically smallest orbit
+    point). Results are sorted by point.
+    """
+    if q < 1:
+        raise ValueError("period must be a positive integer")
+    if displacement_box < 0:
+        raise ValueError("displacement box must be ≥ 0")
+    rows, cols = int(seed_grid[0]), int(seed_grid[1])
+    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    seeds = np.stack([(ii + 0.5) / rows, (jj + 0.5) / cols], axis=-1).reshape(-1, 2)
+
+    bound = displacement_box * q
+    raw_roots = []  # (u in [0,1)², p)
+    total_converged = 0
+    total_singular = 0
+    for p1 in range(-bound, bound + 1):
+        for p2 in range(-bound, bound + 1):
+            p = np.array([p1, p2], dtype=float)
+            roots, conv, nsing = _newton_batch_reference(lift, seeds, q, p)
+            total_singular += nsing
+            if not conv.any():
+                continue
+            total_converged += int(conv.sum())
+            good = roots[conv]
+            u = good - np.floor(good)
+            res = np.max(np.abs(iterate(lift, u, q) - u - p), axis=-1)
+            ok = res <= _RESIDUAL_TOL
+            for point in u[ok]:
+                raw_roots.append((point, (p1, p2)))
+
+    if not raw_roots:
+        return PeriodicSearch((), q, False, rows * cols, total_converged, total_singular)
+
+    # point-level dedup (flag statistics count distinct roots, not orbits)
+    points = np.asarray([r[0] for r in raw_roots])
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    distinct: list[tuple[np.ndarray, tuple[int, int]]] = []
+    for i in order:
+        u, p = points[i], raw_roots[i][1]
+        if any(_torus_dist_inf(u, v) <= _DEDUP_TOL and p == pv for v, pv in distinct):
+            continue
+        distinct.append((u, p))
+
+    non_isolated = total_converged > 0 and len(distinct) > _CONTINUUM_FRACTION * total_converged
+
+    # drop roots whose true period divides q properly
+    filtered = []
+    for u, p in distinct:
+        is_lower = False
+        for d in _proper_divisors(q):
+            z = iterate(lift, u, d)
+            k = np.round(z - u)
+            if (
+                np.max(np.abs(z - u - k)) <= _DEDUP_TOL
+                and _torus_dist_inf(z - np.floor(z), u) <= _DEDUP_TOL
+            ):
+                is_lower = True
+                break
+        if not is_lower:
+            filtered.append((u, p))
+
+    # collapse orbit mates to the lexicographically smallest orbit point;
+    # membership is tested against the whole orbit, not the representative
+    # alone — near the 0/1 wrap the lexicographic minimum of an orbit is not
+    # stable under the float noise of iterating from different roots
+    collapsed: list[tuple[np.ndarray, tuple[int, int]]] = []
+    for u, p in filtered:
+        orbit = _orbit_points(lift, u, q)
+        if any(
+            p == pv and float(np.min(_torus_dist_inf(orbit, v))) <= _DEDUP_TOL
+            for v, pv in collapsed
+        ):
+            continue
+        best = min(range(q), key=lambda j: (orbit[j][0], orbit[j][1]))
+        collapsed.append((orbit[best], p))
+
+    orbits = []
+    for u, p in sorted(collapsed, key=lambda t: (t[0][0], t[0][1])):
+        pv = np.asarray(p, dtype=float)
+        residual = float(np.max(np.abs(iterate(lift, u, q) - u - pv)))
+        if residual > _RESIDUAL_TOL:
+            continue  # mate drifted past tolerance; original root already reported
+        orbits.append(
+            PeriodicOrbit(
+                point=(float(u[0]), float(u[1])),
+                period=q,
+                displacement=(int(p[0]), int(p[1])),
+                residual=residual,
+            )
+        )
+
+    if non_isolated:
+        orbits = orbits[:_CONTINUUM_SAMPLE]
+
+    return PeriodicSearch(
+        orbits=tuple(orbits),
+        period=q,
+        non_isolated=bool(non_isolated),
+        seeds_total=rows * cols,
+        seeds_converged=total_converged,
+        seeds_singular=total_singular,
+    )
+
+
+@pytest.mark.parametrize(
+    "lift, q, box, grid",
+    [
+        (lm_map(), 1, 2, (8, 8)),
+        (lm_map(), 2, 1, (6, 9)),
+        (lm_map(), 3, 1, (5, 5)),
+        (Identity(), 1, 2, (12, 12)),
+        (Identity(), 2, 1, (8, 8)),
+        (Translation((0.5, 0.0)), 1, 1, (8, 8)),
+        (Translation((0.5, 0.0)), 2, 2, (8, 8)),
+        (horseshoe_disk(), 1, 1, (8, 8)),
+        (horseshoe_disk(), 2, 1, (6, 6)),
+    ],
+    ids=["lm-q1", "lm-q2", "lm-q3", "identity-q1", "identity-q2",
+         "half-translation-q1", "half-translation-q2", "horseshoe-q1", "horseshoe-q2"],
+)
+def test_find_periodic_matches_per_root_reference(lift, q, box, grid):
+    want = _find_periodic_reference(lift, q, box, grid)
+    assert find_periodic(lift, q, box, grid) == want
+
+
+def test_find_periodic_matches_reference_above_batch_cap(lm):
+    side = math.isqrt(periodic._BATCH_ROWS) + 8  # one target's seeds span two batches
+    assert find_periodic(lm, 1, 1, (side, side)) == _find_periodic_reference(lm, 1, 1, (side, side))
+
+
+@pytest.mark.parametrize("cap", [5, 64])
+def test_batch_boundaries_do_not_change_results(monkeypatch, lm, cap):
+    want = find_periodic(lm, 2, 1, (3, 4))
+    monkeypatch.setattr(periodic, "_BATCH_ROWS", cap)
+    assert find_periodic(lm, 2, 1, (3, 4)) == want
+
+
+def test_escape_names_first_start_of_first_batch():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IterationError) as err:
+            find_periodic(EscapesRightHalf(), 1, 1, (4, 4))
+    assert err.value.step == 1
+    assert err.value.start == (0.625, 0.125)
 
 
 def test_parity_certificate_examples():
