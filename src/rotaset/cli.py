@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -153,6 +154,9 @@ def _cmd_rotset(args) -> int:
     spec, lift = _map_from_args(args)
     grid = _grid(str(args.grid))
     horizons = _ints(str(args.horizons))
+    # checked before the run, which takes seconds; the artifact records it
+    if not 0 < args.threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {args.threshold}")
     config = {
         "command": "rotset",
         "map": spec,

@@ -109,12 +109,15 @@ def convex_hull(points) -> ConvexPolygon:
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    # the chains run on Python floats: the same IEEE operations in the same
+    # order as on numpy scalars, so the same bits, at a fraction of the cost
+    rows = pts.tolist()
+    lower = half(rows)
+    upper = half(rows[::-1])
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 2:
         # all points collinear at tolerance: keep the two lexicographic extremes
-        verts = [pts[0], pts[-1]]
+        verts = [rows[0], rows[-1]]
     return _canonical(np.asarray(verts))
 
 

@@ -10,6 +10,7 @@ decorrelates after a few dozen steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +122,18 @@ def estimate_rotation_set(
     tent-shear maps; offset=0.5 probes only cell-center (generic) orbits
     and typically yields a strictly smaller hull at any finite horizon.
 
-    Deterministic for fixed inputs and independent of `workers` (samples
-    are indexed by grid position; all per-sample arithmetic is
-    elementwise, so partitioning cannot change bits).
+    The starts advance in blocks of whole grid rows (`run_in_blocks`), one
+    after another at one worker and on `workers` threads otherwise. The
+    result is deterministic for fixed inputs and independent of the blocks
+    and of `workers`: samples are indexed by grid position and all
+    per-sample arithmetic is elementwise, so partitioning cannot change
+    bits. A non-finite `offset` raises ValueError before any step.
     """
     rows, cols = int(grid[0]), int(grid[1])
     if rows < 1 or cols < 1:
         raise ValueError("grid must be nonempty")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset}")
     horizons = tuple(int(h) for h in horizons)
     if not horizons or list(horizons) != sorted(horizons) or len(set(horizons)) != len(horizons):
         raise ValueError("horizons must be strictly ascending")
@@ -149,12 +155,8 @@ def estimate_rotation_set(
     stability = dists[-1] if dists else 0.0
     final = avgs[-1]
     samples = tuple(
-        RotationSample(
-            start=(float(u0[i, 0]), float(u0[i, 1])),
-            horizon=horizons[-1],
-            displacement_average=(float(final[i, 0]), float(final[i, 1])),
-        )
-        for i in range(len(u0))
+        RotationSample(start=(x, y), horizon=horizons[-1], displacement_average=(ax, ay))
+        for (x, y), (ax, ay) in zip(u0.tolist(), final.tolist())
     )
     return RotationSetEstimate(
         map_id=map_id if map_id is not None else map_label(lift),
@@ -197,6 +199,6 @@ def check_translation_equivariance(lift: TorusLift, v, grid=DEFAULT_GRID, horizo
 
 def interior_nonempty(est: RotationSetEstimate, area_threshold: float) -> bool:
     """True iff the hull area clears the threshold on a stabilized estimate."""
-    if area_threshold <= 0:
+    if not area_threshold > 0:
         raise ValueError("area threshold must be positive")
     return polygon_area(est.hull) > area_threshold and est.stability < area_threshold / 10.0

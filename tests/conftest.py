@@ -41,12 +41,25 @@ class EscapesRightHalf(TorusLift):
 class EscapesAfterShift(TorusLift):
     """NaN on x ≥ 1/2, shift by (1/4, 0) on 1/4 ≤ x < 1/2, identity below
     1/4: starts with x ≥ 1/2 escape at step 1, those with 1/4 ≤ x < 1/2 at
-    step 2. On a 32-row grid split into 16-row blocks, the first block
-    escapes only at step 2, at (0.25, 0.0)."""
+    step 2. On a 32-row grid, the first start to escape, (0.25, 0.0),
+    escapes only at step 2."""
 
     def _apply(self, pts):
         x = pts[..., :1]
         return np.where(x >= 0.5, np.nan, np.where(x >= 0.25, pts + (0.25, 0.0), pts))
+
+
+@dataclass(frozen=True)
+class EscapesInALaterBlockFirst(TorusLift):
+    """NaN on x ≥ 4/5, shift by (4/5, 0) on x < 1/10, identity between:
+    starts with x < 1/10, the first grid rows, escape at step 2 and those
+    with x ≥ 4/5 at step 1. On an 80-row grid run in blocks, block 0
+    escapes only at step 2, and the earliest escape is row 64's first
+    start (0.8, 0.0), in a later block."""
+
+    def _apply(self, pts):
+        x = pts[..., :1]
+        return np.where(x >= 0.8, np.nan, np.where(x < 0.1, pts + (0.8, 0.0), pts))
 
 
 def cli_env():

@@ -135,6 +135,24 @@ def test_empty_seed_grid_exits_2(tmp_path, args):
     assert "seed grid must be nonempty" in r.stderr
 
 
+@pytest.mark.parametrize("offset", ["nan", "inf"])
+def test_nonfinite_rotset_offset_exits_2(tmp_path, offset):
+    r = run_cli(["rotset", "--map", "lm", "--grid", "4", "--horizons", "1,2", "--offset", offset], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "offset must be finite" in r.stderr
+    assert not (tmp_path / "rotset.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_bad_rotset_threshold_exits_2_before_the_run(tmp_path, threshold):
+    # an empty grid fails inside the run, so this message shows that the
+    # threshold was checked first
+    r = run_cli(["rotset", "--map", "lm", "--grid", "0", f"--threshold={threshold}"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "threshold must be positive and finite" in r.stderr
+    assert not (tmp_path / "rotset.json").exists()
+
+
 def test_undeclared_map_flag_exits_2(tmp_path):
     r = run_cli(["rotset", "--map", "lm", "--amplitude", "3", "--grid", "4", "--horizons", "1,2"], tmp_path)
     assert r.returncode == 2, r.stderr

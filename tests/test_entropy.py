@@ -94,7 +94,7 @@ def test_orbit_table_layout(lm):
     assert np.all(tab >= 0.0) and np.all(tab < 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_orbit_table_escape_names_step_and_start(workers):
     with pytest.raises(IterationError) as exc:

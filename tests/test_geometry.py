@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from rotaset import (
     affine_image,
     contains_point,
     convex_hull,
+    estimate_rotation_set,
     hausdorff_distance,
     point_to_polygon_distance,
     polygon_area,
     polygon_diameter,
 )
+from rotaset.geometry import _COLLINEAR_REL_TOL, _canonical
 
 from .conftest import UNIT_SQUARE
 
@@ -180,3 +184,106 @@ def test_hull_rejects_bad_input():
         convex_hull([])
     with pytest.raises(ValueError):
         convex_hull([(np.nan, 0.0)])
+
+
+# --- convex_hull against the numpy-scalar monotone chain ---------------------
+
+
+def _convex_hull_reference(points) -> ConvexPolygon:
+    """The monotone chain on numpy rows and scalars, kept verbatim as the
+    reference: convex_hull runs the same operations on Python floats."""
+    pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points, dtype=float)
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    pts = pts.reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite input point")
+    pts = np.unique(pts, axis=0)  # sorts lexicographically
+    if len(pts) == 1:
+        return ConvexPolygon((tuple(pts[0]),))
+
+    span = pts.max(axis=0) - pts.min(axis=0)
+    dist_tol = _COLLINEAR_REL_TOL * max(math.hypot(float(span[0]), float(span[1])), 1e-300)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chord_dist(o, a, p):
+        # distance from a to the segment [o, p]; the segment (not the line),
+        # so a near-collinear vertex overhanging an endpoint is never dropped
+        dx, dy = p[0] - o[0], p[1] - o[1]
+        denom = dx * dx + dy * dy
+        if denom == 0.0:
+            return math.hypot(a[0] - o[0], a[1] - o[1])
+        t = ((a[0] - o[0]) * dx + (a[1] - o[1]) * dy) / denom
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+        return math.hypot(a[0] - (o[0] + t * dx), a[1] - (o[1] + t * dy))
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if cross(o, a, p) <= 0.0 or chord_dist(o, a, p) <= dist_tol:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    verts = lower[:-1] + upper[:-1]
+    if len(verts) < 2:
+        # all points collinear at tolerance: keep the two lexicographic extremes
+        verts = [pts[0], pts[-1]]
+    return _canonical(np.asarray(verts))
+
+
+def _clouds():
+    rng = np.random.default_rng(20261018)
+    lattice = np.stack(np.meshgrid(np.arange(7) / 7, np.arange(5) / 5), axis=-1).reshape(-1, 2)
+    line = np.linspace(0.0, 1.0, 64)
+    tol = _COLLINEAR_REL_TOL * math.hypot(3.0, 1.0)  # the tolerance on the line below
+    on_line = np.stack([3.0 * line, line], axis=-1)
+    normal = np.stack([-line, 3.0 * line], axis=-1) / math.hypot(3.0, 1.0)
+    yield "point", [(0.3, -0.7)]
+    yield "point-duplicated", [(0.3, -0.7)] * 5
+    for seed, n in enumerate((3, 10, 100, 2000)):
+        yield f"uniform-{n}", rng.uniform(-1.0, 1.0, (n, 2))
+        yield f"normal-{n}", rng.normal(0.5, 1e-3 * (seed + 1), (n, 2))
+        yield f"disk-{n}", _on_circle(rng.uniform(0.0, 2.0 * math.pi, n))
+    yield "lattice", lattice
+    yield "lattice-duplicated", np.concatenate([lattice, lattice[::3], lattice[::-2]])
+    yield "uniform-duplicated", np.repeat(rng.uniform(0.0, 1.0, (50, 2)), 3, axis=0)
+    yield "collinear", on_line
+    yield "collinear-shuffled", rng.permutation(on_line)
+    yield "collinear-vertical", np.stack([np.zeros(64), line], axis=-1)
+    yield "two-points", [(1.0, 2.0), (-1.0, 0.5)]
+    for scale in (0.1, 0.5, 0.99, 1.01, 10.0):
+        bumps = scale * tol * rng.uniform(-1.0, 1.0, (64, 1))
+        yield f"near-collinear-{scale}", on_line + bumps * normal
+
+
+def _on_circle(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+@pytest.mark.parametrize("name, pts", list(_clouds()), ids=[name for name, _ in _clouds()])
+def test_hull_equals_the_numpy_scalar_chain(name, pts):
+    assert convex_hull(pts) == _convex_hull_reference(pts)
+
+
+@given(point_lists)
+@settings(max_examples=200)
+def test_hull_equals_the_numpy_scalar_chain_on_any_points(pts):
+    assert convex_hull(pts) == _convex_hull_reference(pts)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.37])
+def test_hull_equals_the_numpy_scalar_chain_on_lm_averages(lm, offset):
+    est = estimate_rotation_set(lm, (64, 64), (100, 500), offset=offset)
+    averages = np.asarray([s.displacement_average for s in est.samples])
+    hull = _convex_hull_reference(averages)
+    assert hull == convex_hull(averages) == est.hull
+    assert len(hull.vertices) >= (4 if offset == 0.0 else 3)

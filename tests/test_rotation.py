@@ -169,10 +169,24 @@ def test_iterate_and_translate_estimates_share_orbits(lm):
     assert np.max(np.abs(s - b - np.asarray([3.0, 2.0]))) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_escape_names_step_and_plain_float_start():
     with pytest.raises(IterationError) as exc:
         estimate_rotation_set(EscapesRightHalf(), (8, 8), (5, 10))
     assert exc.value.step == 1
     assert exc.value.start == (0.5, 0.0)
     assert str(exc.value) == "orbit from start (0.5, 0.0) escaped at step 1"
+
+
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_offset_is_a_value_error_before_any_step(offset):
+    # every start of this map escapes at step 1, so a step would raise
+    # IterationError instead
+    with pytest.raises(ValueError, match="offset must be finite"):
+        estimate_rotation_set(EscapesRightHalf(), (8, 8), (5, 10), offset=offset)
+
+
+def test_nan_area_threshold_is_a_value_error(irrational_translation):
+    est = estimate_rotation_set(irrational_translation, (4, 4), (10, 20))
+    with pytest.raises(ValueError, match="area threshold must be positive"):
+        interior_nonempty(est, float("nan"))
