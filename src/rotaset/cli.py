@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -154,9 +153,7 @@ def _cmd_rotset(args) -> int:
     spec, lift = _map_from_args(args)
     grid = _grid(str(args.grid))
     horizons = _ints(str(args.horizons))
-    # checked before the run, which takes seconds; the artifact records it
-    if not 0 < args.threshold < math.inf:
-        raise ValueError(f"threshold must be positive and finite, got {args.threshold}")
+    rotation.check_area_threshold(args.threshold)  # before the run, which takes seconds
     config = {
         "command": "rotset",
         "map": spec,

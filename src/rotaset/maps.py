@@ -69,7 +69,11 @@ _ORBIT_CHUNK_POINTS = 1024
 # one): a block's per-step temporaries then stay in cache. On a 2-core
 # x86-64 VM, 16384 `lm` starts x 2000 steps took 1.23-1.33 s as one batch
 # and 0.93-0.96 s in blocks of 4096 or 8192; 2048 was no faster than one
-# batch, and 1024 or fewer slower.
+# batch, and 1024 or fewer slower. The thread pool uses the same blocks, so a
+# grid of at most one block runs on one thread: on that VM at `--workers 2`,
+# `rotset --grid 64` took 0.60 s as one block and 0.97 s split into one block
+# per worker (medians of 7 CLI runs), and in no measured case did two threads
+# beat serial blocks.
 _BLOCK_POINTS = 4096
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
@@ -121,7 +125,7 @@ def tent(t):
     s *= 2.0
     s -= 1.0
     np.abs(s, out=s)
-    return np.subtract(1.0, s, out=s)
+    return np.subtract(1.0, s, out=s)[()]  # a scalar for a scalar t
 
 
 def _param(name: str, value, pair: bool = False, integral: bool = False):

@@ -197,8 +197,13 @@ def check_translation_equivariance(lift: TorusLift, v, grid=DEFAULT_GRID, horizo
     return hausdorff_distance(est_shift.hull, affine_image(est_base.hull, 1.0, v))
 
 
+def check_area_threshold(area_threshold: float) -> None:
+    """ValueError unless the area threshold is positive and finite."""
+    if not 0 < area_threshold < math.inf:
+        raise ValueError(f"area threshold must be positive and finite, got {area_threshold}")
+
+
 def interior_nonempty(est: RotationSetEstimate, area_threshold: float) -> bool:
     """True iff the hull area clears the threshold on a stabilized estimate."""
-    if not area_threshold > 0:
-        raise ValueError("area threshold must be positive")
+    check_area_threshold(area_threshold)
     return polygon_area(est.hull) > area_threshold and est.stability < area_threshold / 10.0

@@ -49,6 +49,7 @@ int_vecs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
 def test_tent_distinguished_values():
+    assert type(tent(0.5)) is np.float64
     assert tent(0.0) == 0.0
     assert tent(0.5) == 1.0
     assert tent(0.25) == 0.5

@@ -190,3 +190,10 @@ def test_nan_area_threshold_is_a_value_error(irrational_translation):
     est = estimate_rotation_set(irrational_translation, (4, 4), (10, 20))
     with pytest.raises(ValueError, match="area threshold must be positive"):
         interior_nonempty(est, float("nan"))
+
+
+def test_infinite_area_threshold_is_a_value_error(irrational_translation):
+    # the CLI checks its --threshold with the same rule before the run
+    est = estimate_rotation_set(irrational_translation, (4, 4), (10, 20))
+    with pytest.raises(ValueError, match="area threshold must be positive and finite"):
+        interior_nonempty(est, float("inf"))
