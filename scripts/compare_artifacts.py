@@ -1,0 +1,119 @@
+"""Compare two source trees of rotaset command by command.
+
+Runs a fixed set of argvs through ``python -m rotaset`` once per tree and
+worker count (1 and 4), with PYTHONPATH set to that tree's source
+directory, and prints every difference between the trees in exit code,
+stdout or a file written to ``--out``. The set is the acceptance-8
+commands, a few `verify` properties and iterate maps, and one round of
+each benchmark workload (perfbench/workloads.py, seed 1).
+
+Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories holding the `rotaset` package,
+such as a checkout's src/. Exits 0 when the trees agree on every run, 1
+when any run differs.
+"""
+import argparse
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+WORKERS = (1, 4)
+DIFF_LINES = 40  # most diff lines printed per file
+ITERATE_LM = json.dumps({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}})
+
+FIXED = [
+    # acceptance 8
+    ["rotset", "--map", "lm", "--grid", "20", "--horizons", "60,120", "--csv", "--svg"],
+    ["entropy", "--map", "lm", "--eps", "0.1", "--lengths", "2..5", "--resolution", "64"],
+    ["periodic", "--map", "lm", "--period", "1", "--box", "1", "--seeds", "16"],
+    ["cover", "--map", "rotation", "--alpha", "0.41421356", "--beta", "0.73205081",
+     "--factors", "2x2", "--iters", "5000", "--resolution", "8", "--pgm"],
+    # verify properties and iterate maps
+    ["verify", "--map", "lm", "--property", "translation", "--grid", "32", "--horizons", "50,100"],
+    ["verify", "--map", "lm", "--property", "iterate-scaling", "--grid", "32", "--horizons", "50,100"],
+    ["verify", "--map", "lm", "--property", "sandwich", "--grid", "32", "--horizons", "50,100", "--seeds", "16"],
+    ["rotset", "--map-json", ITERATE_LM, "--grid", "32", "--horizons", "50,100", "--csv"],
+    ["entropy", "--map-json", ITERATE_LM, "--eps", "0.1", "--lengths", "2..4", "--resolution", "48"],
+    ["cover", "--map", "rotation", "--alpha", "0.41421356", "--beta", "0.3", "--factors", "2x1",
+     "--iters", "3000", "--resolution", "8", "--power", "2"],
+]
+
+
+def _argvs() -> list:
+    out = list(FIXED)
+    for name, makers in workloads.ROUNDS.items():
+        out += [job.argv for job, _ in zip(workloads.jobs(name, 1), makers)]
+    return out
+
+
+def _run(src: Path, argv: list, workers: int, out: Path):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("ROTASET_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotaset", *argv, "--workers", str(workers), "--out", str(out)],
+        env=env, cwd=out.parent, capture_output=True, text=True, timeout=900,
+    )
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return proc.returncode, proc.stdout, files
+
+
+def _diff(a: str, b: str, label: str) -> list:
+    """A unified diff, at most DIFF_LINES long; JSON one key per line."""
+    if label.endswith(".json"):
+        a, b = (json.dumps(json.loads(t), indent=1, sort_keys=True) for t in (a, b))
+    diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(), f"parent/{label}", f"change/{label}", lineterm=""))
+    more = [f"... {len(diff) - DIFF_LINES} more diff lines"] if len(diff) > DIFF_LINES else []
+    return diff[:DIFF_LINES] + more
+
+
+def compare(parent_src: Path, change_src: Path, argv: list, workers: int) -> list:
+    """Differences between the two trees on one argv, as printable lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        a = _run(parent_src, argv, workers, Path(tmp) / "parent")
+        b = _run(change_src, argv, workers, Path(tmp) / "change")
+    out = []
+    if a[0] != b[0]:
+        out.append(f"exit code {a[0]} -> {b[0]}")
+    if a[1] != b[1]:
+        out += _diff(a[1], b[1], "stdout")
+    for name in sorted(set(a[2]) | set(b[2])):
+        if name not in a[2] or name not in b[2]:
+            out.append(f"{name}: only in {'change' if name in b[2] else 'parent'}")
+        elif a[2][name] != b[2][name]:
+            try:
+                out += _diff(a[2][name].decode(), b[2][name].decode(), name)
+            except UnicodeDecodeError:
+                out.append(f"{name}: binary files differ")
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src", type=Path, help="source directory of the parent tree")
+    ap.add_argument("change_src", type=Path, help="source directory of the changed tree")
+    args = ap.parse_args()
+    argvs = _argvs()
+    differing = 0
+    for argv in argvs:
+        for workers in WORKERS:
+            diff = compare(args.parent_src.resolve(), args.change_src.resolve(), argv, workers)
+            print(f"[{'DIFFERS' if diff else 'same'}] workers={workers} {' '.join(argv)}", flush=True)
+            for line in diff:
+                print(f"    {line}")
+            differing += bool(diff)
+    print(f"{differing} of {len(argvs) * len(WORKERS)} runs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

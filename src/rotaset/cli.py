@@ -126,6 +126,23 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=".", help="artifact directory (default: current)")
     p.add_argument("--workers", type=int, default=None, help="worker count (default: $ROTASET_WORKERS or 1)")
     p.add_argument("--config", help="JSON file whose keys override the flags")
+    p.set_defaults(flag_actions=p._actions)  # filled in as the command adds flags
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A --config value as its flag would give it: through the flag's type
+    (a JSON number as its text, so 8.5 is no int) and checked against its
+    choices; else ValueError naming the key."""
+    if action.nargs == 0 and not isinstance(value, bool):  # a switch such as --svg
+        raise ValueError(f"--config key {key!r}: {value!r} is not true or false")
+    if action.type is not None:
+        try:
+            value = action.type(value if isinstance(value, str) else json.dumps(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"--config key {key!r}: {value!r} is not a valid {action.type.__name__}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
 
 
 def _apply_config(args: argparse.Namespace):
@@ -133,8 +150,12 @@ def _apply_config(args: argparse.Namespace):
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ValueError("--config file must hold a JSON object")
+        actions = {a.dest: a for a in args.flag_actions if a.default is not argparse.SUPPRESS}
         for key, value in overrides.items():
-            setattr(args, key.replace("-", "_"), value)
+            dest = key.replace("-", "_")
+            if dest not in actions:
+                raise ValueError(f"--config key {key!r} names no flag of this command")
+            setattr(args, dest, _config_value(actions[dest], key, value))
     if args.workers is None:
         args.workers = _default_workers()
     args.workers = max(1, int(args.workers))

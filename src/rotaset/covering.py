@@ -111,7 +111,7 @@ class CoveringDynamics:
         u, w = self.split(starts)
         mod = np.asarray(self.cover.factors, dtype=np.int64)
         for _, us, ws in torus_orbit(self.lift, u, n, starts=starts):
-            yield np.stack(us) + (w + np.stack(ws)) % mod
+            yield us + (w + ws) % mod
 
     def orbit(self, start, n: int) -> np.ndarray:
         """(n+1, 2) covering orbit including the start point."""

@@ -101,8 +101,7 @@ def dynamical_distance(lift: TorusLift, x, y, n: int) -> float:
         raise ValueError("need finite torus points")
     best = float(flat_distance(uv[0], uv[1]))
     for _, us, _ in torus_orbit(lift, uv, n - 1, starts=xy):
-        pairs = np.stack(us)
-        best = max(best, float(flat_distance(pairs[:, 0], pairs[:, 1]).max()))
+        best = max(best, float(flat_distance(us[:, 0], us[:, 1]).max()))
     return best
 
 
@@ -121,8 +120,7 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int, workers: int = 1) 
         out = np.empty((len(block), depth, 2))
         out[:, 0] = block
         for steps, us, _ in torus_orbit(lift, block, depth - 1):
-            for k, u in zip(steps, us):
-                out[:, k] = u
+            out[:, steps.start : steps.stop] = us.swapaxes(0, 1)
         return out
 
     return np.concatenate(run_in_blocks(fill, u0, res, workers))

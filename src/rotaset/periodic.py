@@ -1,9 +1,11 @@
 """Periodic orbits of torus maps and their exact rational rotation vectors.
 
 Roots of G(x) = F^q(x) − x − p are found by damped Newton iteration run in
-parallel from a seed grid, for every integer displacement p in a box. The
-displacement of a converged orbit is the exact integer p it was solved
-for, so rotation vectors are exact rationals p/q with no float contact.
+parallel from a seed grid. Each seed chooses its own integer target p on
+every iteration, the nearest integer to F^q(x) − x, and a converged root is
+kept when its p lies in the displacement box. The displacement of a kept
+orbit is that exact integer p, so rotation vectors are exact rationals p/q
+with no float contact.
 """
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ _MAX_NEWTON_ITERS = 50
 _MAX_STEP = 0.5  # damping: per-component Newton step clamp
 _CONTINUUM_FRACTION = 0.25
 _CONTINUUM_SAMPLE = 16
-# Most (target, seed) rows per Newton batch. The probe call iterates four
-# points per row, and peak RSS grows with the cap: 2048 rows cost about
-# 0.4 MB more than 1024 in the benchmark's cover-periodic run.
+# Most seeds per Newton batch; each seed picks its own targets. The probe
+# call iterates four points per seed, and peak RSS grows with the cap: 2048
+# rows cost about 0.4 MB more than 1024 in the benchmark's cover-periodic run.
 _BATCH_ROWS = 1024
 
 
@@ -106,36 +108,41 @@ def _residual(lift: TorusLift, u: np.ndarray, q: int, p: np.ndarray) -> np.ndarr
     return np.max(np.abs(iterate(lift, u, q) - u - p), axis=-1)
 
 
-def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
-    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once; seed
-    i solves for its own target p[i] (p has the shape of seeds, (N, 2)).
+def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int):
+    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once, each
+    seed retargeted on every iteration: p = round(F^q(x) − x), taken from
+    the G call itself, so a seed runs once whatever its root's displacement.
 
-    Returns (roots, converged mask, singular-seed count); rows that did
-    not converge hold their seed. The Jacobian is a central difference,
-    solved as an explicit 2×2 system; seeds where it degenerates are
-    dropped and counted (constant-displacement maps have DF^q = I
-    everywhere, so G is affine-degenerate and Newton is moot — such seeds
-    either start converged or are unsolvable). Each iteration
+    Returns (roots, targets, converged mask, singular-seed count); rows
+    that did not converge hold their seed and target 0. The Jacobian is a
+    central difference, solved as an explicit 2×2 system; seeds where it
+    degenerates are dropped and counted (constant-displacement maps have
+    DF^q = I everywhere, so G is affine-degenerate and Newton is moot —
+    such seeds either start converged or are unsolvable). Each iteration
     makes two `iterate` calls: G on the active seeds, then the four probes
     x ± h·e₀, x ± h·e₁ of the seeds not yet converged as one (4, n, 2)
     batch.
     """
     x = seeds.copy()
+    p = np.zeros_like(seeds)
     converged = np.zeros(len(x), dtype=bool)
     singular = 0
-    xa, pa, idx = seeds, p, np.arange(len(x))
+    xa, idx = seeds, np.arange(len(x))
     e0, e1 = np.array([_FD_STEP, 0.0]), np.array([0.0, _FD_STEP])
 
     for _ in range(_MAX_NEWTON_ITERS):
         if len(idx) == 0:
             break
-        g = iterate(lift, xa, q) - xa - pa
+        g = iterate(lift, xa, q) - xa
+        pa = np.round(g)
+        g -= pa
         done = np.max(np.abs(g), axis=-1) <= _NEWTON_TOL
         if done.any():
             converged[idx[done]] = True
             x[idx[done]] = xa[done]
+            p[idx[done]] = pa[done]
             keep = ~done
-            xa, pa, g, idx = xa[keep], pa[keep], g[keep], idx[keep]
+            xa, g, idx = xa[keep], g[keep], idx[keep]
             if len(idx) == 0:
                 break
 
@@ -150,7 +157,7 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
         if bad.any():
             singular += int(bad.sum())
             keep = ~bad
-            xa, pa, g, idx = xa[keep], pa[keep], g[keep], idx[keep]
+            xa, g, idx = xa[keep], g[keep], idx[keep]
             a, b, c, d, det = a[keep], b[keep], c[keep], d[keep], det[keep]
         dx0 = (-g[:, 0] * d + g[:, 1] * b) / det
         dx1 = (-g[:, 1] * a + g[:, 0] * c) / det
@@ -158,9 +165,17 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, p: np.ndarray):
         xa = xa + step
         finite = np.all(np.isfinite(xa), axis=-1)
         if not finite.all():
-            xa, pa, idx = xa[finite], pa[finite], idx[finite]
+            xa, idx = xa[finite], idx[finite]
 
-    return x, converged, singular
+    return x, p, converged, singular
+
+
+def _reduce(z: np.ndarray) -> np.ndarray:
+    """z mod 1 in [0,1)²: a coordinate a hair below an integer, which
+    z − floor(z) rounds up to 1.0, becomes 0.0."""
+    u = z - np.floor(z)
+    u[u == 1.0] = 0.0
+    return u
 
 
 def _greedy_distinct(disp: np.ndarray, dist) -> np.ndarray:
@@ -187,15 +202,18 @@ def find_periodic(
 ) -> PeriodicSearch:
     """All period-q orbits reachable by Newton from a seed grid.
 
-    For each integer p with |p|∞ ≤ displacement_box·q, solves
-    F^q(x) = x + p. The (p, seed) pairs, p₁ outer, p₂ inner and seeds
-    row-major, run as Newton batches of at most `_BATCH_ROWS` rows.
-    Converged roots are reduced to the torus, deduplicated at distance
-    1e-6, filtered against lower divisor periods, and collapsed to one
-    representative per orbit (the lexicographically smallest orbit point).
-    Dedup and collapse are greedy in lexicographic root order: keep a root,
-    then mask out every later root with the same p within 1e-6 of it (of
-    its orbit, for the collapse). Results are sorted by point.
+    Solves F^q(x) = x + p for integer p with |p|∞ ≤ displacement_box·q.
+    Seeds, row-major, run as Newton batches of at most `_BATCH_ROWS`; each
+    seed picks its own target p, the nearest integer to F^q(x) − x, on
+    every iteration, and a converged seed is kept when its p lies in the
+    box. `seeds_converged` counts the kept seeds, `seeds_singular` the
+    seeds dropped at a degenerate Jacobian. Kept roots are reduced to the
+    torus, deduplicated at distance 1e-6, filtered against lower divisor
+    periods, and collapsed to one representative per orbit (the
+    lexicographically smallest orbit point). Dedup and collapse are greedy
+    in lexicographic root order: keep a root, then mask out every later
+    root with the same p within 1e-6 of it (of its orbit, for the
+    collapse). Results are sorted by point.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
@@ -207,20 +225,17 @@ def find_periodic(
     ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     seeds = np.stack([(ii + 0.5) / rows, (jj + 0.5) / cols], axis=-1).reshape(-1, 2)
 
-    span = np.arange(-displacement_box * q, displacement_box * q + 1, dtype=float)
-    targets = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
-    pairs = len(targets) * len(seeds)
+    bound = displacement_box * q
     found_u, found_p = [np.empty((0, 2))], [np.empty((0, 2))]  # roots in [0,1)², their p
     total_converged = total_singular = 0
-    for first in range(0, pairs, _BATCH_ROWS):
-        t, s = np.divmod(np.arange(first, min(first + _BATCH_ROWS, pairs)), len(seeds))
-        roots, conv, nsing = _newton_batch(lift, seeds[s], q, targets[t])
+    for first in range(0, len(seeds), _BATCH_ROWS):
+        roots, targets, conv, nsing = _newton_batch(lift, seeds[first : first + _BATCH_ROWS], q)
         total_singular += nsing
+        conv &= np.max(np.abs(targets), axis=-1) <= bound
         if not conv.any():
             continue
         total_converged += int(conv.sum())
-        good, p = roots[conv], targets[t[conv]]
-        u = good - np.floor(good)
+        u, p = _reduce(roots[conv]), targets[conv]
         ok = _residual(lift, u, q, p) <= _RESIDUAL_TOL
         found_u.append(u[ok])
         found_p.append(p[ok])
@@ -253,7 +268,7 @@ def find_periodic(
     z = u
     for _ in range(q - 1):
         z = iterate(lift, z, 1)
-        orbit.append(z - np.floor(z))
+        orbit.append(_reduce(z))
     orbit = np.stack(orbit)  # (q, roots, 2)
     best = np.lexsort((orbit[..., 1], orbit[..., 0]), axis=0)[0]
     reps = orbit[best, np.arange(len(u))]

@@ -367,3 +367,30 @@ def test_artifacts_reproducible_across_workers(tmp_path, args, artifacts):
         b1 = (tmp_path / "w1" / name).read_bytes()
         b4 = (tmp_path / "w4" / name).read_bytes()
         assert b1 == b4, f"{name} differs between worker counts"
+
+
+@pytest.mark.parametrize("key, text, value", [("threshold", "0.1", 0.1), ("offset", "0.5", 0.5)])
+def test_config_values_take_their_flag_type(tmp_path, key, text, value):
+    (tmp_path / "cfg.json").write_text(json.dumps({key: text}))
+    r = run_cli(["rotset", "--map", "lm", "--grid", "4", "--horizons", "1,2", "--config", "cfg.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    art = json.loads((tmp_path / "rotset.json").read_text())
+    assert art["config"][key] == value and isinstance(art["config"][key], float)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"threshold": "abc"}, "threshold"),
+        ({"offset": [0.5]}, "offset"),
+        ({"workers": 2.5}, "workers"),
+        ({"svg": "false"}, "svg"),
+        ({"no_such_flag": 1}, "no_such_flag"),
+    ],
+)
+def test_config_value_that_does_not_fit_exits_2(tmp_path, overrides, key):
+    (tmp_path / "cfg.json").write_text(json.dumps(overrides))
+    r = run_cli(["rotset", "--map", "lm", "--grid", "4", "--horizons", "1,2", "--config", "cfg.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert f"--config key {key!r}" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,19 +1,26 @@
-"""Escaped orbits: every orbit loop raises the same error, naming the
+"""The orbit engine gives the bytes of a plain step loop at every chunk
+shape. Escaped orbits: every orbit loop raises the same error, naming the
 earliest escaped step and the first start escaped there, at any worker
 count and without a warning on the way. Grid runs give the same results
 and errors at any block size and worker count."""
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rotaset import (
     BASE_TORUS,
+    FOUR_FOLD,
+    IntegerTranslate,
     IterationError,
+    TorusLift,
+    Translation,
     dynamical_distance,
     estimate_rotation_set,
     iterate,
     lift_to_covering,
+    lm_map,
     maps,
     rotation_vector,
     transitivity_score,
@@ -23,6 +30,92 @@ from rotaset.entropy import orbit_table
 from .conftest import EscapesAfterShift, EscapesInALaterBlockFirst, EscapesRightHalf
 
 ESCAPES = EscapesRightHalf()
+
+
+@dataclass(frozen=True)
+class EscapesAtThreeQuarters(TorusLift):
+    """Shift by (1/2048, 0), exact in floats, and NaN once x reaches 3/4:
+    a start (x, y) with x a multiple of 1/2048 escapes at step 2048·(3/4 − x)."""
+
+    def _apply(self, pts):
+        z = pts + (1 / 2048, 0.0)
+        return np.where(z[..., :1] >= 0.75, np.nan, z)
+
+
+def _plain_orbit(lift, u0, n):
+    """Points and cumulative windings after steps 1..n, one torus_step and
+    one winding sum per step: the loop the engine's chunks must match."""
+    u, w = u0, np.zeros(u0.shape, dtype=np.int64)
+    us, ws = [], []
+    for _ in range(n):
+        u, dw = maps.torus_step(lift, u)
+        w = w + dw
+        us.append(u)
+        ws.append(w)
+    return np.stack(us), np.stack(ws)
+
+
+# (points, steps): one-step chunks from 513 points up; the others take
+# 1024 // points steps per chunk, and no n here is a multiple of that.
+ENGINE_SIZES = [(1, 2500), (2, 1100), (3, 1000), (1023, 3), (1024, 3), (1025, 3)]
+
+
+@pytest.mark.parametrize("points, n", ENGINE_SIZES)
+@pytest.mark.parametrize(
+    "lift",
+    [lm_map(), Translation((0.41421356, 0.73205081)), IntegerTranslate(lm_map(), (3, -2))],
+    ids=["lm", "translation", "integer-translate"],
+)
+def test_torus_orbit_matches_a_plain_step_loop(lift, points, n):
+    u0 = np.random.default_rng(points).random((points, 2))
+    chunks = list(maps.torus_orbit(lift, u0, n))
+    span = max(1, maps._ORBIT_CHUNK_POINTS // points)
+    assert [len(steps) for steps, _, _ in chunks][:-1] == [span] * (len(chunks) - 1)
+    assert [k for steps, _, _ in chunks for k in steps] == list(range(1, n + 1))
+    us, ws = _plain_orbit(lift, u0, n)
+    got_us = np.concatenate([c[1] for c in chunks])
+    got_ws = np.concatenate([c[2] for c in chunks])
+    assert got_us.shape == us.shape and got_us.tobytes() == us.tobytes()
+    assert got_ws.dtype == np.int64 and np.array_equal(got_ws, ws)
+
+
+def test_transitivity_score_matches_a_per_step_loop():
+    # 96² cells, a quarter of them still empty after 10⁴ steps
+    lift, starts, res, iterations = Translation((0.41421356, 0.73205081)), ((0.2, 1.3), (1.7, 0.4)), 48, 10**4
+    report = transitivity_score(lift, FOUR_FOLD, starts=starts, iterations=iterations, cell_resolution=res)
+
+    dyn = lift_to_covering(lift, FOUR_FOLD)
+    u, w = dyn.split(starts)
+    grids = np.zeros((len(starts), 2 * res, 2 * res), dtype=bool)
+    for step in range(iterations + 1):
+        if step:
+            u, w = dyn.step_state(u, w)
+        z = u + w
+        ix = np.minimum((z[:, 0] * res).astype(np.int64), 2 * res - 1)
+        iy = np.minimum((z[:, 1] * res).astype(np.int64), 2 * res - 1)
+        grids[np.arange(len(starts)), iy, ix] = True
+    assert np.array_equal(report.grid, grids.any(axis=0))
+    assert report.per_start_occupancy == tuple(float(g.sum() / g.size) for g in grids)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda starts: list(maps.torus_orbit(EscapesAtThreeQuarters(), np.asarray(starts), 3000)),
+        lambda starts: iterate(EscapesAtThreeQuarters(), starts, 3000),
+        lambda starts: transitivity_score(
+            EscapesAtThreeQuarters(), BASE_TORUS, starts=starts, iterations=3000, cell_resolution=2
+        ),
+    ],
+    ids=["torus_orbit", "iterate", "transitivity_score"],
+)
+def test_escape_in_a_later_chunk_names_its_step_and_start(run):
+    # two starts run 512 steps per chunk; the second escapes first, at step
+    # 2048·(3/4 − 1/8) = 1280, in the third chunk; the first only at 1536
+    err = _escape(lambda: run([(0.0, 0.0), (0.125, 0.5)]))
+    assert err.step == 1280
+    assert err.start == (0.125, 0.5)
+
 
 # Each runs one orbit loop on a batch whose first start escaping at step 1
 # is (0.5, 0.0); the others never escape or escape only later.

@@ -337,30 +337,68 @@ def _find_periodic_reference(
     )
 
 
+def _assert_finds_reference(lift, got: PeriodicSearch, reach: PeriodicSearch, want: PeriodicSearch, non_isolated: bool):
+    """`got` is flagged as `non_isolated` says, and the reference's orbits
+    are all found in `reach`, most often `got` itself: each has a reported orbit
+    with the same displacement, one of whose points lies within 1e-6 of it
+    on the torus. The search runs Newton once per seed, the reference once
+    per (target, seed) pair, so seed counts and any extra orbits differ."""
+    assert got.non_isolated == non_isolated
+    assert got.seeds_converged <= got.seeds_total
+    for o in want.orbits:
+        assert any(
+            n.displacement == o.displacement
+            and np.min(_torus_dist_inf(_orbit_points(lift, np.asarray(n.point), q=o.period), o.point)) <= 1e-6
+            for n in reach.orbits
+        ), f"reference orbit {o} not found"
+
+
+# Two cases differ from the reference by design, since the search runs
+# Newton once per seed rather than once per target:
+# - lm q=2 has segments of period-2 points with displacement (1, 1), on
+#   x + y ≡ 3/4 among others. At 6×9 seeds, 22 distinct roots come from 49
+#   converged seeds, which the continuum rule flags; the reference counted
+#   each seed once per target it converged for (164 pairs) and did not.
+# - lm q=3 at 5×5 seeds: 25 Newton runs reach 12 of lm's 32 period-3
+#   orbits, the reference's 1225 runs (49 targets per seed) 28, of which it
+#   lists 16 as its continuum sample. The flag is compared at 5×5; the
+#   orbits are looked up in a search on 24×24 seeds, which lists all 32.
 @pytest.mark.parametrize(
-    "lift, q, box, grid",
+    "lift, q, box, grid, search_grid, flagged_now",
     [
-        (lm_map(), 1, 2, (8, 8)),
-        (lm_map(), 2, 1, (6, 9)),
-        (lm_map(), 3, 1, (5, 5)),
-        (Identity(), 1, 2, (12, 12)),
-        (Identity(), 2, 1, (8, 8)),
-        (Translation((0.5, 0.0)), 1, 1, (8, 8)),
-        (Translation((0.5, 0.0)), 2, 2, (8, 8)),
-        (horseshoe_disk(), 1, 1, (8, 8)),
-        (horseshoe_disk(), 2, 1, (6, 6)),
+        (lm_map(), 1, 2, (8, 8), (8, 8), False),
+        (lm_map(), 2, 1, (6, 9), (6, 9), True),
+        (lm_map(), 3, 1, (5, 5), (24, 24), False),
+        (Identity(), 1, 2, (12, 12), (12, 12), False),
+        (Identity(), 2, 1, (8, 8), (8, 8), False),
+        (Translation((0.5, 0.0)), 1, 1, (8, 8), (8, 8), False),
+        (Translation((0.5, 0.0)), 2, 2, (8, 8), (8, 8), False),
+        (horseshoe_disk(), 1, 1, (8, 8), (8, 8), False),
+        (horseshoe_disk(), 2, 1, (6, 6), (6, 6), False),
     ],
     ids=["lm-q1", "lm-q2", "lm-q3", "identity-q1", "identity-q2",
          "half-translation-q1", "half-translation-q2", "horseshoe-q1", "horseshoe-q2"],
 )
-def test_find_periodic_matches_per_root_reference(lift, q, box, grid):
+def test_find_periodic_matches_per_root_reference(lift, q, box, grid, search_grid, flagged_now):
     want = _find_periodic_reference(lift, q, box, grid)
-    assert find_periodic(lift, q, box, grid) == want
+    assert not (want.non_isolated and flagged_now)
+    got = find_periodic(lift, q, box, grid)
+    reach = got if search_grid == grid else find_periodic(lift, q, box, search_grid)
+    _assert_finds_reference(lift, got, reach, want, want.non_isolated or flagged_now)
 
 
 def test_find_periodic_matches_reference_above_batch_cap(lm):
-    side = math.isqrt(periodic._BATCH_ROWS) + 8  # one target's seeds span two batches
-    assert find_periodic(lm, 1, 1, (side, side)) == _find_periodic_reference(lm, 1, 1, (side, side))
+    side = math.isqrt(periodic._BATCH_ROWS) + 8  # the seeds span two batches
+    want = _find_periodic_reference(lm, 1, 1, (side, side))
+    got = find_periodic(lm, 1, 1, (side, side))
+    _assert_finds_reference(lm, got, got, want, want.non_isolated)
+
+
+@pytest.mark.parametrize("grid", [4, 10, 34])
+def test_orbit_points_lie_in_the_unit_square(lm, grid):
+    # roots a hair below an integer used to reduce to 1.0, e.g. (0.5, 1.0) at 4²
+    for o in find_periodic(lm, 1, 1, (grid, grid)).orbits:
+        assert all(0.0 <= c < 1.0 for c in o.point), o.point
 
 
 @pytest.mark.parametrize("cap", [5, 64])
