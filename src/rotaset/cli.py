@@ -131,11 +131,16 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 def _config_value(action: argparse.Action, key: str, value):
     """A --config value as its flag would give it: through the flag's type
-    (a JSON number as its text, so 8.5 is no int) and checked against its
-    choices; else ValueError naming the key."""
-    if action.nargs == 0 and not isinstance(value, bool):  # a switch such as --svg
-        raise ValueError(f"--config key {key!r}: {value!r} is not true or false")
-    if action.type is not None:
+    (a JSON number as its text, so 8.5 is no int), a string for a flag
+    without one, and checked against its choices; else ValueError naming
+    the key."""
+    if action.nargs == 0:  # a switch such as --svg
+        if not isinstance(value, bool):
+            raise ValueError(f"--config key {key!r}: {value!r} is not true or false")
+    elif action.type is None:
+        if not isinstance(value, str):
+            raise ValueError(f"--config key {key!r}: {value!r} is not a string")
+    else:
         try:
             value = action.type(value if isinstance(value, str) else json.dumps(value))
         except (TypeError, ValueError):

@@ -481,11 +481,10 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
         with np.errstate(invalid="ignore"):
             if len(steps) == 1:
                 u, dw = torus_step(lift, u)
+                # not the several-step path: a cumulative sum over a (1, n, 2)
+                # array runs one column at a time, 60 µs at 4096 points
                 us, ws = u[None], np.add(dw, w, out=dw)[None]  # dw is fresh: no allocation
-                # checked on a copy of the batch (a one-element list): the
-                # benchmark's rounds are sized on grid runs that pay for it;
-                # ROADMAP's benchmark upkeep drops it with the round rebuild
-                finite = np.isfinite([u]).all()
+                finite = np.isfinite([u]).all()  # on a copy, as before (ROADMAP, P0)
             else:
                 us, dws = [], []
                 for _ in steps:

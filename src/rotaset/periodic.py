@@ -3,9 +3,11 @@
 Roots of G(x) = F^q(x) − x − p are found by damped Newton iteration run in
 parallel from a seed grid. Each seed chooses its own integer target p on
 every iteration, the nearest integer to F^q(x) − x, and a converged root is
-kept when its p lies in the displacement box. The displacement of a kept
-orbit is that exact integer p, so rotation vectors are exact rationals p/q
-with no float contact.
+kept when its p lies in the displacement box. A small search, whose
+(target, seed) pairs fit in `_PER_TARGET_ROWS`, runs every seed once per
+target p instead, which reaches more roots from few seeds. The displacement
+of a kept orbit is that exact integer p, so rotation vectors are exact
+rationals p/q with no float contact.
 """
 from __future__ import annotations
 
@@ -33,12 +35,23 @@ _DEDUP_TOL = 1e-6
 _FD_STEP = 1e-6
 _MAX_NEWTON_ITERS = 50
 _MAX_STEP = 0.5  # damping: per-component Newton step clamp
-_CONTINUUM_FRACTION = 0.25
+# The continuum flag: distinct roots against converged Newton runs. A run of
+# one seed per target converges for one to four targets on lm (1.6-3.8 runs
+# per seed at 5² to 40² seeds), a re-targeted run once; 2/3 gives the
+# per-target verdicts of lm at q = 1..3, box 1 and 2, 5² to 32² seeds.
+_CONTINUUM_FRACTION = 0.25  # of converged (target, seed) runs
+_CONTINUUM_FRACTION_RETARGETED = 2 / 3  # of converged seeds
 _CONTINUUM_SAMPLE = 16
-# Most seeds per Newton batch; each seed picks its own targets. The probe
-# call iterates four points per seed, and peak RSS grows with the cap: 2048
-# rows cost about 0.4 MB more than 1024 in the benchmark's cover-periodic run.
+# Most rows per Newton batch: seeds, each picking its own targets, or the
+# (target, seed) pairs of a small search. The probe call iterates four
+# points per row, and peak RSS grows with the cap: 2048 rows cost about
+# 0.4 MB more than 1024 in the benchmark's cover-periodic run.
 _BATCH_ROWS = 1024
+# Most (target, seed) pairs that run once per pair, fixed target each: from
+# few seeds, re-targeting reaches fewer roots (lm q=3 at 5×5 seeds: 12 of
+# its 32 orbits, against 28 once per target). Larger searches run each seed
+# once, re-targeted; this many rows cost about what the default 64² grid does.
+_PER_TARGET_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,10 +85,11 @@ class PeriodicOrbit:
 class PeriodicSearch:
     """Search outcome: isolated orbits, or a flag that roots form a continuum.
 
-    When more than 25% of converged seeds land on mutually distinct roots,
-    Newton is telling us the fixed-point set is not isolated (every point of
-    some region is a root); `orbits` then holds a small representative
-    sample instead of one entry per seed.
+    When a large share of converged Newton runs land on mutually distinct
+    roots (a quarter of the per-target runs, two thirds of the re-targeted
+    ones), Newton is telling us the fixed-point set is not isolated (every
+    point of some region is a root); `orbits` then holds a small
+    representative sample instead of one entry per seed.
     """
 
     orbits: tuple[PeriodicOrbit, ...]
@@ -108,41 +122,45 @@ def _residual(lift: TorusLift, u: np.ndarray, q: int, p: np.ndarray) -> np.ndarr
     return np.max(np.abs(iterate(lift, u, q) - u - p), axis=-1)
 
 
-def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int):
-    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once, each
-    seed retargeted on every iteration: p = round(F^q(x) − x), taken from
-    the G call itself, so a seed runs once whatever its root's displacement.
+def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, targets=None):
+    """Damped Newton on G(x) = F^q(x) − x − p from every seed at once. With
+    `targets` (the shape of seeds, (N, 2)), seed i solves for its own fixed
+    p = targets[i]; without, each seed is retargeted on every iteration:
+    p = round(F^q(x) − x), taken from the G call itself, so a seed runs
+    once whatever its root's displacement.
 
-    Returns (roots, targets, converged mask, singular-seed count); rows
-    that did not converge hold their seed and target 0. The Jacobian is a
-    central difference, solved as an explicit 2×2 system; seeds where it
-    degenerates are dropped and counted (constant-displacement maps have
-    DF^q = I everywhere, so G is affine-degenerate and Newton is moot —
-    such seeds either start converged or are unsolvable). Each iteration
-    makes two `iterate` calls: G on the active seeds, then the four probes
+    Returns (roots, targets, converged mask, singular mask); rows that did
+    not converge hold their seed. The Jacobian is a central difference,
+    solved as an explicit 2×2 system; seeds where it degenerates are
+    dropped and marked singular (constant-displacement maps have DF^q = I
+    everywhere, so G is affine-degenerate and Newton is moot — such seeds
+    either start converged or are unsolvable). Each iteration makes two
+    `iterate` calls: G on the active seeds, then the four probes
     x ± h·e₀, x ± h·e₁ of the seeds not yet converged as one (4, n, 2)
     batch.
     """
+    retarget = targets is None
     x = seeds.copy()
-    p = np.zeros_like(seeds)
+    p = np.zeros_like(seeds) if retarget else targets
     converged = np.zeros(len(x), dtype=bool)
-    singular = 0
-    xa, idx = seeds, np.arange(len(x))
+    singular = np.zeros(len(x), dtype=bool)
+    xa, ta, idx = seeds, p, np.arange(len(x))
     e0, e1 = np.array([_FD_STEP, 0.0]), np.array([0.0, _FD_STEP])
 
     for _ in range(_MAX_NEWTON_ITERS):
         if len(idx) == 0:
             break
         g = iterate(lift, xa, q) - xa
-        pa = np.round(g)
+        pa = np.round(g) if retarget else ta
         g -= pa
         done = np.max(np.abs(g), axis=-1) <= _NEWTON_TOL
         if done.any():
             converged[idx[done]] = True
             x[idx[done]] = xa[done]
-            p[idx[done]] = pa[done]
+            if retarget:
+                p[idx[done]] = pa[done]
             keep = ~done
-            xa, g, idx = xa[keep], g[keep], idx[keep]
+            xa, ta, g, idx = xa[keep], ta[keep], g[keep], idx[keep]
             if len(idx) == 0:
                 break
 
@@ -155,9 +173,9 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int):
         det = a * d - b * c
         bad = (np.abs(det) < 1e-12) | ~np.isfinite(det)
         if bad.any():
-            singular += int(bad.sum())
+            singular[idx[bad]] = True
             keep = ~bad
-            xa, g, idx = xa[keep], g[keep], idx[keep]
+            xa, ta, g, idx = xa[keep], ta[keep], g[keep], idx[keep]
             a, b, c, d, det = a[keep], b[keep], c[keep], d[keep], det[keep]
         dx0 = (-g[:, 0] * d + g[:, 1] * b) / det
         dx1 = (-g[:, 1] * a + g[:, 0] * c) / det
@@ -165,7 +183,7 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int):
         xa = xa + step
         finite = np.all(np.isfinite(xa), axis=-1)
         if not finite.all():
-            xa, idx = xa[finite], idx[finite]
+            xa, ta, idx = xa[finite], ta[finite], idx[finite]
 
     return x, p, converged, singular
 
@@ -203,17 +221,19 @@ def find_periodic(
     """All period-q orbits reachable by Newton from a seed grid.
 
     Solves F^q(x) = x + p for integer p with |p|∞ ≤ displacement_box·q.
-    Seeds, row-major, run as Newton batches of at most `_BATCH_ROWS`; each
-    seed picks its own target p, the nearest integer to F^q(x) − x, on
+    Seeds, row-major, run as Newton batches of at most `_BATCH_ROWS` rows;
+    each seed picks its own target p, the nearest integer to F^q(x) − x, on
     every iteration, and a converged seed is kept when its p lies in the
-    box. `seeds_converged` counts the kept seeds, `seeds_singular` the
-    seeds dropped at a degenerate Jacobian. Kept roots are reduced to the
-    torus, deduplicated at distance 1e-6, filtered against lower divisor
-    periods, and collapsed to one representative per orbit (the
-    lexicographically smallest orbit point). Dedup and collapse are greedy
-    in lexicographic root order: keep a root, then mask out every later
-    root with the same p within 1e-6 of it (of its orbit, for the
-    collapse). Results are sorted by point.
+    box. When the (p, seed) pairs, p₁ outer, p₂ inner and seeds row-major,
+    number at most `_PER_TARGET_ROWS`, each pair runs instead, with p fixed.
+    `seeds_converged` counts the seeds with a kept root, `seeds_singular`
+    the other seeds that were dropped at a degenerate Jacobian. Kept roots
+    are reduced to the torus, deduplicated at distance 1e-6, filtered
+    against lower divisor periods, and collapsed to one representative per
+    orbit (the lexicographically smallest orbit point). Dedup and collapse
+    are greedy in lexicographic root order: keep a root, then mask out
+    every later root with the same p within 1e-6 of it (of its orbit, for
+    the collapse). Results are sorted by point.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
@@ -226,16 +246,29 @@ def find_periodic(
     seeds = np.stack([(ii + 0.5) / rows, (jj + 0.5) / cols], axis=-1).reshape(-1, 2)
 
     bound = displacement_box * q
+    span = np.arange(-bound, bound + 1, dtype=float)
+    targets = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
+    if len(targets) * len(seeds) <= _PER_TARGET_ROWS:
+        t, seed_of = np.divmod(np.arange(len(targets) * len(seeds)), len(seeds))
+        fixed, fraction = targets[t], _CONTINUUM_FRACTION
+    else:
+        fixed, seed_of, fraction = None, np.arange(len(seeds)), _CONTINUUM_FRACTION_RETARGETED
     found_u, found_p = [np.empty((0, 2))], [np.empty((0, 2))]  # roots in [0,1)², their p
-    total_converged = total_singular = 0
-    for first in range(0, len(seeds), _BATCH_ROWS):
-        roots, targets, conv, nsing = _newton_batch(lift, seeds[first : first + _BATCH_ROWS], q)
-        total_singular += nsing
-        conv &= np.max(np.abs(targets), axis=-1) <= bound
+    seed_converged = np.zeros(len(seeds), dtype=bool)
+    seed_singular = np.zeros(len(seeds), dtype=bool)
+    runs_converged = 0
+    for first in range(0, len(seed_of), _BATCH_ROWS):
+        batch = slice(first, first + _BATCH_ROWS)
+        roots, p, conv, sing = _newton_batch(
+            lift, seeds[seed_of[batch]], q, None if fixed is None else fixed[batch]
+        )
+        seed_singular[seed_of[batch][sing]] = True
+        conv &= np.max(np.abs(p), axis=-1) <= bound
         if not conv.any():
             continue
-        total_converged += int(conv.sum())
-        u, p = _reduce(roots[conv]), targets[conv]
+        runs_converged += int(conv.sum())
+        seed_converged[seed_of[batch][conv]] = True
+        u, p = _reduce(roots[conv]), p[conv]
         ok = _residual(lift, u, q, p) <= _RESIDUAL_TOL
         found_u.append(u[ok])
         found_p.append(p[ok])
@@ -247,7 +280,7 @@ def find_periodic(
     distinct = _greedy_distinct(p, lambda i, later: _torus_dist_inf(u[later], u[i]))
     u, p = u[distinct], p[distinct]
 
-    non_isolated = total_converged > 0 and len(u) > _CONTINUUM_FRACTION * total_converged
+    non_isolated = runs_converged > 0 and len(u) > fraction * runs_converged
 
     # drop roots whose true period divides q properly
     lower = np.zeros(len(u), dtype=bool)
@@ -256,7 +289,7 @@ def find_periodic(
             z = iterate(lift, u, d)
             k = np.round(z - u)
             lower |= (np.max(np.abs(z - u - k), axis=-1) <= _DEDUP_TOL) & (
-                _torus_dist_inf(z - np.floor(z), u) <= _DEDUP_TOL
+                _torus_dist_inf(_reduce(z), u) <= _DEDUP_TOL
             )
     u, p = u[~lower], p[~lower]
 
@@ -287,7 +320,12 @@ def find_periodic(
     if non_isolated:
         orbits = orbits[:_CONTINUUM_SAMPLE]
     return PeriodicSearch(
-        tuple(orbits), q, bool(non_isolated), rows * cols, total_converged, total_singular
+        tuple(orbits),
+        q,
+        bool(non_isolated),
+        rows * cols,
+        int(seed_converged.sum()),
+        int((seed_singular & ~seed_converged).sum()),
     )
 
 

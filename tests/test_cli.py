@@ -386,6 +386,8 @@ def test_config_values_take_their_flag_type(tmp_path, key, text, value):
         ({"workers": 2.5}, "workers"),
         ({"svg": "false"}, "svg"),
         ({"no_such_flag": 1}, "no_such_flag"),
+        ({"center": [0.5, 0.5]}, "center"),
+        ({"out": 5}, "out"),
     ],
 )
 def test_config_value_that_does_not_fit_exits_2(tmp_path, overrides, key):

@@ -337,61 +337,72 @@ def _find_periodic_reference(
     )
 
 
-def _assert_finds_reference(lift, got: PeriodicSearch, reach: PeriodicSearch, want: PeriodicSearch, non_isolated: bool):
-    """`got` is flagged as `non_isolated` says, and the reference's orbits
-    are all found in `reach`, most often `got` itself: each has a reported orbit
-    with the same displacement, one of whose points lies within 1e-6 of it
-    on the torus. The search runs Newton once per seed, the reference once
-    per (target, seed) pair, so seed counts and any extra orbits differ."""
-    assert got.non_isolated == non_isolated
+def _assert_finds_reference(lift, got: PeriodicSearch, want: PeriodicSearch):
+    """`got` is flagged as `want` is, and each of the reference's orbits has
+    a reported orbit with the same displacement, one of whose points lies
+    within 1e-6 of it on the torus. Seed counts and any extra orbits may
+    differ: the reference counts (target, seed) runs and, above
+    `_PER_TARGET_ROWS` pairs, the search runs Newton once per seed."""
+    assert got.non_isolated == want.non_isolated
     assert got.seeds_converged <= got.seeds_total
     for o in want.orbits:
         assert any(
             n.displacement == o.displacement
             and np.min(_torus_dist_inf(_orbit_points(lift, np.asarray(n.point), q=o.period), o.point)) <= 1e-6
-            for n in reach.orbits
+            for n in got.orbits
         ), f"reference orbit {o} not found"
 
 
-# Two cases differ from the reference by design, since the search runs
-# Newton once per seed rather than once per target:
-# - lm q=2 has segments of period-2 points with displacement (1, 1), on
-#   x + y ≡ 3/4 among others. At 6×9 seeds, 22 distinct roots come from 49
-#   converged seeds, which the continuum rule flags; the reference counted
-#   each seed once per target it converged for (164 pairs) and did not.
-# - lm q=3 at 5×5 seeds: 25 Newton runs reach 12 of lm's 32 period-3
-#   orbits, the reference's 1225 runs (49 targets per seed) 28, of which it
-#   lists 16 as its continuum sample. The flag is compared at 5×5; the
-#   orbits are looked up in a search on 24×24 seeds, which lists all 32.
 @pytest.mark.parametrize(
-    "lift, q, box, grid, search_grid, flagged_now",
+    "lift, q, box, grid",
     [
-        (lm_map(), 1, 2, (8, 8), (8, 8), False),
-        (lm_map(), 2, 1, (6, 9), (6, 9), True),
-        (lm_map(), 3, 1, (5, 5), (24, 24), False),
-        (Identity(), 1, 2, (12, 12), (12, 12), False),
-        (Identity(), 2, 1, (8, 8), (8, 8), False),
-        (Translation((0.5, 0.0)), 1, 1, (8, 8), (8, 8), False),
-        (Translation((0.5, 0.0)), 2, 2, (8, 8), (8, 8), False),
-        (horseshoe_disk(), 1, 1, (8, 8), (8, 8), False),
-        (horseshoe_disk(), 2, 1, (6, 6), (6, 6), False),
+        (lm_map(), 1, 2, (8, 8)),
+        (lm_map(), 2, 1, (6, 9)),
+        (lm_map(), 3, 1, (5, 5)),
+        (Identity(), 1, 2, (12, 12)),
+        (Identity(), 2, 1, (8, 8)),
+        (Translation((0.5, 0.0)), 1, 1, (8, 8)),
+        (Translation((0.5, 0.0)), 2, 2, (8, 8)),
+        (horseshoe_disk(), 1, 1, (8, 8)),
+        (horseshoe_disk(), 2, 1, (6, 6)),
     ],
     ids=["lm-q1", "lm-q2", "lm-q3", "identity-q1", "identity-q2",
          "half-translation-q1", "half-translation-q2", "horseshoe-q1", "horseshoe-q2"],
 )
-def test_find_periodic_matches_per_root_reference(lift, q, box, grid, search_grid, flagged_now):
+def test_find_periodic_matches_per_root_reference(lift, q, box, grid):
     want = _find_periodic_reference(lift, q, box, grid)
-    assert not (want.non_isolated and flagged_now)
-    got = find_periodic(lift, q, box, grid)
-    reach = got if search_grid == grid else find_periodic(lift, q, box, search_grid)
-    _assert_finds_reference(lift, got, reach, want, want.non_isolated or flagged_now)
+    _assert_finds_reference(lift, find_periodic(lift, q, box, grid), want)
 
 
 def test_find_periodic_matches_reference_above_batch_cap(lm):
     side = math.isqrt(periodic._BATCH_ROWS) + 8  # the seeds span two batches
     want = _find_periodic_reference(lm, 1, 1, (side, side))
-    got = find_periodic(lm, 1, 1, (side, side))
-    _assert_finds_reference(lm, got, got, want, want.non_isolated)
+    _assert_finds_reference(lm, find_periodic(lm, 1, 1, (side, side)), want)
+
+
+@pytest.mark.parametrize(
+    "side, flagged", [(5, True), (8, True), (10, True), (12, False), (16, False), (24, False)]
+)
+def test_lm_period_three_flag_follows_per_target_verdicts(lm, side, flagged):
+    # the verdicts of the per-target search at every side; from 10² seeds
+    # the search runs once per seed. lm has 32 period-3 orbits, all isolated:
+    # once unflagged the search lists them all
+    r = find_periodic(lm, 3, 1, (side, side))
+    assert r.non_isolated == flagged
+    assert r.seeds_converged <= r.seeds_total
+    if not flagged:
+        assert len(r.orbits) == 32
+
+
+def test_few_seeds_reach_more_orbits_once_per_target(lm, monkeypatch):
+    # at 5×5 seeds the per-target runs reach 28 of lm's 32 period-3 orbits,
+    # re-targeted runs 12; both flag the roots as a continuum
+    monkeypatch.setattr(periodic, "_CONTINUUM_SAMPLE", 64)  # list every orbit found
+    r = find_periodic(lm, 3, 1, (5, 5))
+    assert (len(r.orbits), r.non_isolated) == (28, True)
+    monkeypatch.setattr(periodic, "_PER_TARGET_ROWS", 0)
+    r = find_periodic(lm, 3, 1, (5, 5))
+    assert (len(r.orbits), r.non_isolated) == (12, True)
 
 
 @pytest.mark.parametrize("grid", [4, 10, 34])
@@ -406,6 +417,14 @@ def test_batch_boundaries_do_not_change_results(monkeypatch, lm, cap):
     want = find_periodic(lm, 2, 1, (3, 4))
     monkeypatch.setattr(periodic, "_BATCH_ROWS", cap)
     assert find_periodic(lm, 2, 1, (3, 4)) == want
+
+
+@pytest.mark.parametrize("cap", [5, 64])
+def test_batch_boundaries_do_not_change_retargeted_results(monkeypatch, lm, cap):
+    monkeypatch.setattr(periodic, "_PER_TARGET_ROWS", 0)
+    want = find_periodic(lm, 2, 1, (9, 10))
+    monkeypatch.setattr(periodic, "_BATCH_ROWS", cap)
+    assert find_periodic(lm, 2, 1, (9, 10)) == want
 
 
 def test_escape_names_first_start_of_first_batch():
