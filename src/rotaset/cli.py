@@ -2,9 +2,9 @@
 
 Every artifact embeds the fully resolved configuration (defaults included)
 so a saved run documents itself; re-running any command with the same
-configuration produces byte-identical files. Worker count and output
-directory are execution knobs, not configuration — they are excluded from
-artifacts and cannot affect their bytes.
+configuration produces byte-identical files. The output directory is an
+execution knob, not configuration: it is excluded from artifacts. Grid runs
+are serial: the worker-count flag is accepted, for old scripts, and ignored.
 
 Exit codes: 0 success (verify: within tolerance), 1 verify discrepancy out
 of tolerance, 2 invalid map specification / parameters / unknown property,
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -81,14 +80,6 @@ def _starts(text: str) -> list[tuple[float, float]]:
     return [_pair(part) for part in text.split(";") if part]
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ROTASET_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 # --- map construction --------------------------------------------------------
 
 def _map_from_args(args) -> tuple[dict, maps.TorusLift]:
@@ -124,7 +115,7 @@ def _add_map_flags(p: argparse.ArgumentParser):
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=".", help="artifact directory (default: current)")
-    p.add_argument("--workers", type=int, default=None, help="worker count (default: $ROTASET_WORKERS or 1)")
+    p.add_argument("--workers", type=int, help="ignored: grid runs are serial")
     p.add_argument("--config", help="JSON file whose keys override the flags")
     p.set_defaults(flag_actions=p._actions)  # filled in as the command adds flags
 
@@ -161,9 +152,6 @@ def _apply_config(args: argparse.Namespace):
             if dest not in actions:
                 raise ValueError(f"--config key {key!r} names no flag of this command")
             setattr(args, dest, _config_value(actions[dest], key, value))
-    if args.workers is None:
-        args.workers = _default_workers()
-    args.workers = max(1, int(args.workers))
     return args
 
 
@@ -188,9 +176,7 @@ def _cmd_rotset(args) -> int:
         "offset": args.offset,
         "threshold": args.threshold,
     }
-    est = rotation.estimate_rotation_set(
-        lift, grid, horizons, offset=args.offset, workers=args.workers
-    )
+    est = rotation.estimate_rotation_set(lift, grid, horizons, offset=args.offset)
     verdict = rotation.interior_nonempty(est, args.threshold)
     artifact = {"config": config, **est.to_json_dict(include_samples=False)}
     artifact["interior_nonempty"] = verdict
@@ -232,9 +218,7 @@ def _cmd_entropy(args) -> int:
         "lengths": lengths,
         "resolution": args.resolution,
     }
-    est = entropy.estimate_entropy(
-        lift, epsilons, lengths, args.resolution, workers=args.workers
-    )
+    est = entropy.estimate_entropy(lift, epsilons, lengths, args.resolution)
     out = _outdir(args)
     serialize.write_json(out / "entropy.json", {"config": config, **est.to_json_dict()})
     serialize.write_csv(out / "entropy.csv", ("epsilon", "n", "count"), est.csv_rows())
@@ -245,6 +229,12 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_periodic(args) -> int:
     spec, lift = _map_from_args(args)
+    if (args.k2 is None) != (args.k3 is None):
+        missing = "--k3" if args.k3 is None else "--k2"
+        raise ValueError(f"the parity certificate needs --k2 and --k3: {missing} is missing")
+    cert = None
+    if args.k2 is not None:  # before the search, which takes seconds
+        cert = periodic.parity_certificate(_int_pair(args.k2), _int_pair(args.k3))
     config = {
         "command": "periodic",
         "map": spec,
@@ -268,8 +258,7 @@ def _cmd_periodic(args) -> int:
     if result.orbits:
         hull = periodic.realized_vectors(result.orbits)
         artifact["realized_hull"] = {"vertices": [list(v) for v in hull.vertices]}
-    if args.k2 is not None and args.k3 is not None:
-        cert = periodic.parity_certificate(_int_pair(args.k2), _int_pair(args.k3))
+    if cert is not None:
         artifact["parity_certificate"] = {
             "k2": list(_int_pair(args.k2)),
             "k3": list(_int_pair(args.k3)),
@@ -292,7 +281,7 @@ def _cmd_periodic(args) -> int:
 def _cmd_cover(args) -> int:
     spec, lift = _map_from_args(args)
     cover = covering.CoveringTorus(_factors(args.factors))
-    if args.power > 1:
+    if args.power != 1:
         lift = maps.Iterate(lift, args.power)
     starts = _starts(args.starts)
     config = {
@@ -340,8 +329,10 @@ def _cmd_verify(args) -> int:
     elif prop == "iterate-scaling":
         disc = rotation.check_iterate_scaling(lift, args.k, grid, horizons)
     elif prop == "sandwich":
-        est = rotation.estimate_rotation_set(lift, grid, horizons, workers=args.workers)
-        found = periodic.find_periodic(lift, args.q, displacement_box=args.box, seed_grid=(args.seeds, args.seeds))
+        seeds = (args.seeds, args.seeds)
+        periodic.check_search(args.q, args.box, seeds)  # before the estimate, which takes seconds
+        est = rotation.estimate_rotation_set(lift, grid, horizons)
+        found = periodic.find_periodic(lift, args.q, displacement_box=args.box, seed_grid=seeds)
         if not found.orbits:
             print(f"property=sandwich no periodic orbits found at q={args.q}")
             return 1

@@ -169,6 +169,8 @@ def transitivity_score(
     """
     m, n = cover.factors
     res = int(cell_resolution)
+    if res < 1:
+        raise ValueError(f"cell resolution must be a positive integer, got {res}")
     nx, ny = m * res, n * res
     cells = nx * ny
     if iterations < cells:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import TorusLift, run_in_blocks, torus_orbit
+from .maps import TorusLift, grid_starts, run_in_blocks, torus_orbit
 from .maps import torus_step  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -105,16 +105,16 @@ def dynamical_distance(lift: TorusLift, x, y, n: int) -> float:
     return best
 
 
-def orbit_table(lift: TorusLift, resolution: int, depth: int, workers: int = 1) -> np.ndarray:
+def orbit_table(lift: TorusLift, resolution: int, depth: int) -> np.ndarray:
     """Torus positions of every grid candidate: shape (resolution², depth, 2).
 
     Candidates are (i/res, j/res) in row-major order; column k holds the
     k-th image, so slicing [:, :n] gives exactly the points entering an
-    n-step dynamical distance.
+    n-step dynamical distance. The candidates advance in blocks of whole
+    grid rows, one after another (`run_in_blocks`).
     """
     res = int(resolution)
-    ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-    u0 = np.stack([ii / res, jj / res], axis=-1).reshape(-1, 2)
+    u0 = grid_starts(res, res, 0.0)
 
     def fill(block: np.ndarray) -> np.ndarray:
         out = np.empty((len(block), depth, 2))
@@ -123,7 +123,7 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int, workers: int = 1) 
             out[:, steps.start : steps.stop] = us.swapaxes(0, 1)
         return out
 
-    return np.concatenate(run_in_blocks(fill, u0, res, workers))
+    return np.concatenate(run_in_blocks(fill, u0, res))
 
 
 def _length_words(flags: np.ndarray) -> np.ndarray:
@@ -252,12 +252,12 @@ def _check_resolution(eps: float, resolution: int):
         raise ValueError("candidate grid too coarse: need resolution·epsilon ≥ 4")
 
 
-def count_spanning(lift: TorusLift, epsilon: float, n: int, candidate_resolution: int, workers: int = 1) -> int:
+def count_spanning(lift: TorusLift, epsilon: float, n: int, candidate_resolution: int) -> int:
     """Greedy (n, ε)-spanning count over a fresh orbit table of depth n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     _check_resolution(epsilon, candidate_resolution)
-    table = orbit_table(lift, candidate_resolution, n, workers=workers)
+    table = orbit_table(lift, candidate_resolution, n)
     return _spanning_counts(table, candidate_resolution, float(epsilon), (n,))[0]
 
 
@@ -286,7 +286,6 @@ def estimate_entropy(
     epsilons=DEFAULT_EPSILONS,
     lengths=DEFAULT_LENGTHS,
     candidate_resolution: int = DEFAULT_RESOLUTION,
-    workers: int = 1,
 ) -> EntropyEstimate:
     """Count table over (ε, n), per-ε log-slope fits, max-slope estimate.
 
@@ -303,7 +302,7 @@ def estimate_entropy(
     for eps in epsilons:
         _check_resolution(eps, res)
 
-    table = orbit_table(lift, res, lengths[-1], workers=workers)
+    table = orbit_table(lift, res, lengths[-1])
     counts = tuple(_spanning_counts(table, res, eps, lengths) for eps in epsilons)
 
     cap = res * res / 2.0

@@ -3,8 +3,8 @@
 A lift is an immutable combinator tree evaluated on planar points. Every
 variant satisfies F(p + v) = F(p) + v for integer v, is invertible, and
 projects to a homeomorphism of the 2-torus. Evaluation is vectorized over
-numpy arrays of shape (..., 2) and is pure, so trees are safe to share
-across workers.
+numpy arrays of shape (..., 2) and is pure. Grid runs (`run_in_blocks`)
+advance their blocks of starts one after another on the calling thread.
 
 Two evaluation paths are provided:
 
@@ -22,7 +22,6 @@ import itertools
 import math
 import numbers
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -69,11 +68,7 @@ _ORBIT_CHUNK_POINTS = 1024
 # one): a block's per-step temporaries then stay in cache. On a 2-core
 # x86-64 VM, 16384 `lm` starts x 2000 steps took 1.23-1.33 s as one batch
 # and 0.93-0.96 s in blocks of 4096 or 8192; 2048 was no faster than one
-# batch, and 1024 or fewer slower. The thread pool uses the same blocks, so a
-# grid of at most one block runs on one thread: on that VM at `--workers 2`,
-# `rotset --grid 64` took 0.60 s as one block and 0.97 s split into one block
-# per worker (medians of 7 CLI runs), and in no measured case did two threads
-# beat serial blocks.
+# batch, and 1024 or fewer slower.
 _BLOCK_POINTS = 4096
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
@@ -114,7 +109,7 @@ def _as_points(p) -> np.ndarray:
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    """values as a read-only array: lifts are shared across workers."""
+    """values as a read-only array: a lift's parameters never change."""
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -502,34 +497,33 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
         yield steps, us, ws
 
 
-def run_in_blocks(fn, u0: np.ndarray, row_len: int, workers: int) -> list:
+def run_in_blocks(fn, u0: np.ndarray, row_len: int) -> list:
     """fn on consecutive blocks of u0, a grid of rows of `row_len` starts;
     the results in block order.
 
     A block holds the whole rows that fit in `_BLOCK_POINTS` starts, at
-    least one. The blocks run one after another at one worker and on
-    `workers` threads otherwise. When blocks escape, the earliest
-    (step, block) error is raised, the one a single pass over u0 raises,
-    whatever the worker count.
+    least one, and the blocks run one after another. When blocks escape,
+    the earliest (step, block) error is raised, the one a single pass over
+    u0 raises: a later block can escape at an earlier step, so every block
+    runs.
     """
-
-    def run(block):
-        try:
-            return None, fn(block)
-        except IterationError as e:
-            return e, None
-
     size = max(1, _BLOCK_POINTS // row_len) * row_len
-    blocks = [u0[i : i + size] for i in range(0, len(u0), size)]
-    if workers <= 1 or len(blocks) == 1:
-        outcomes = list(map(run, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, blocks))
-    escapes = [(e.step, i) for i, (e, _) in enumerate(outcomes) if e is not None]
+    results, escapes = [], []
+    for i in range(0, len(u0), size):
+        try:
+            results.append(fn(u0[i : i + size]))
+        except IterationError as e:
+            escapes.append(e)
     if escapes:
-        raise outcomes[min(escapes)[1]][0]
-    return [result for _, result in outcomes]
+        raise min(escapes, key=lambda e: e.step)  # the first block among equal steps
+    return results
+
+
+def grid_starts(rows: int, cols: int, offset: float) -> np.ndarray:
+    """The row-major grid ((i + offset)/rows, (j + offset)/cols), shape
+    (rows·cols, 2)."""
+    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    return np.stack([(ii + offset) / rows, (jj + offset) / cols], axis=-1).reshape(-1, 2)
 
 
 def iterate(lift: TorusLift, p, n: int) -> np.ndarray:

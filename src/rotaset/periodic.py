@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ConvexPolygon, convex_hull
-from .maps import TorusLift, iterate
+from .maps import TorusLift, grid_starts, iterate
 
 __all__ = [
     "PeriodicOrbit",
@@ -212,6 +212,17 @@ def _greedy_distinct(disp: np.ndarray, dist) -> np.ndarray:
     return np.asarray(kept, dtype=np.intp)
 
 
+def check_search(q: int, displacement_box: int, seed_grid) -> None:
+    """ValueError unless the period is positive, the box nonnegative and the
+    seed grid nonempty."""
+    if q < 1:
+        raise ValueError("period must be a positive integer")
+    if displacement_box < 0:
+        raise ValueError("displacement box must be ≥ 0")
+    if int(seed_grid[0]) < 1 or int(seed_grid[1]) < 1:
+        raise ValueError("seed grid must be nonempty")
+
+
 def find_periodic(
     lift: TorusLift,
     q: int,
@@ -235,15 +246,9 @@ def find_periodic(
     every later root with the same p within 1e-6 of it (of its orbit, for
     the collapse). Results are sorted by point.
     """
-    if q < 1:
-        raise ValueError("period must be a positive integer")
-    if displacement_box < 0:
-        raise ValueError("displacement box must be ≥ 0")
+    check_search(q, displacement_box, seed_grid)
     rows, cols = int(seed_grid[0]), int(seed_grid[1])
-    if rows < 1 or cols < 1:
-        raise ValueError("seed grid must be nonempty")
-    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    seeds = np.stack([(ii + 0.5) / rows, (jj + 0.5) / cols], axis=-1).reshape(-1, 2)
+    seeds = grid_starts(rows, cols, 0.5)
 
     bound = displacement_box * q
     span = np.arange(-bound, bound + 1, dtype=float)

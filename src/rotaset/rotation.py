@@ -22,7 +22,7 @@ from .geometry import (
     hausdorff_distance,
     polygon_area,
 )
-from .maps import Iterate, IntegerTranslate, TorusLift, map_label, run_in_blocks, torus_orbit
+from .maps import Iterate, IntegerTranslate, TorusLift, grid_starts, map_label, run_in_blocks, torus_orbit
 from .maps import torus_step  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -111,7 +111,6 @@ def estimate_rotation_set(
     grid=DEFAULT_GRID,
     horizons=DEFAULT_HORIZONS,
     offset: float = 0.0,
-    workers: int = 1,
     map_id: str | None = None,
 ) -> RotationSetEstimate:
     """Hulls of displacement averages over a grid of starts.
@@ -122,11 +121,10 @@ def estimate_rotation_set(
     tent-shear maps; offset=0.5 probes only cell-center (generic) orbits
     and typically yields a strictly smaller hull at any finite horizon.
 
-    The starts advance in blocks of whole grid rows (`run_in_blocks`), one
-    after another at one worker and on `workers` threads otherwise. The
-    result is deterministic for fixed inputs and independent of the blocks
-    and of `workers`: samples are indexed by grid position and all
-    per-sample arithmetic is elementwise, so partitioning cannot change
+    The starts advance in blocks of whole grid rows, one after another
+    (`run_in_blocks`). The result is deterministic for fixed inputs and
+    independent of the blocks: samples are indexed by grid position and
+    all per-sample arithmetic is elementwise, so partitioning cannot change
     bits. A non-finite `offset` raises ValueError before any step.
     """
     rows, cols = int(grid[0]), int(grid[1])
@@ -140,12 +138,8 @@ def estimate_rotation_set(
     if horizons[0] < 1:
         raise ValueError("horizons must be positive")
 
-    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    u0 = np.stack(
-        [(ii + offset) / rows, (jj + offset) / cols], axis=-1
-    ).reshape(-1, 2)
-
-    parts = run_in_blocks(lambda b: _orbit_averages(lift, b, horizons), u0, cols, workers)
+    u0 = grid_starts(rows, cols, offset)
+    parts = run_in_blocks(lambda b: _orbit_averages(lift, b, horizons), u0, cols)
     avgs = [np.concatenate(per_block) for per_block in zip(*parts)]
 
     per_hulls = tuple(convex_hull(a) for a in avgs)

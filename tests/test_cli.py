@@ -218,6 +218,24 @@ def test_periodic_lm_with_certificate(tmp_path):
     assert len(art["realized_hull"]["vertices"]) == 4
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["--k2", "2,4"], "--k3 is missing"),
+        (["--k3", "2,4"], "--k2 is missing"),
+        (["--k2", "1,0", "--k3", "0,0"], "even components"),
+    ],
+    ids=["no-k3", "no-k2", "odd"],
+)
+def test_bad_parity_pair_exits_2_before_the_search(tmp_path, pair, message):
+    # an empty seed grid fails inside the search, so this message shows
+    # that the pair was checked first
+    r = run_cli(["periodic", "--map", "lm", "--period", "1", "--seeds", "0", *pair], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+    assert not (tmp_path / "periodic.json").exists()
+
+
 def test_periodic_odd_certificate_input_exits_2(tmp_path):
     r = run_cli(
         ["periodic", "--map", "identity", "--period", "1", "--seeds", "8", "--k2", "1,0", "--k3", "0,0"],
@@ -262,6 +280,27 @@ def test_cover_power_flag(tmp_path):
     art = json.loads((tmp_path / "cover.json").read_text())
     assert art["config"]["power"] == 3
     assert art["occupancy"] == 1 / 64
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--power", "0", "iterate count"),
+        ("--power", "-1", "iterate count"),
+        ("--resolution", "0", "cell resolution"),
+        ("--resolution", "-2", "cell resolution"),
+    ],
+    ids=["power-0", "power-minus-1", "resolution-0", "resolution-minus-2"],
+)
+def test_bad_cover_power_or_resolution_exits_2(tmp_path, flag, value, message):
+    r = run_cli(
+        ["cover", "--map", "identity", "--factors", "1x1", "--iters", "300", "--resolution", "8", flag, value],
+        tmp_path,
+    )
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "cover.json").exists()
 
 
 def test_verify_translation_ok(tmp_path):
@@ -318,6 +357,20 @@ def test_verify_sandwich_without_orbits_exits_1(tmp_path):
     )
     assert r.returncode == 1, r.stderr
     assert "no periodic orbits" in r.stdout
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--q", "0", "period"), ("--box", "-1", "displacement box"), ("--seeds", "0", "seed grid")],
+    ids=["q", "box", "seeds"],
+)
+def test_bad_sandwich_search_exits_2_before_the_estimate(tmp_path, flag, value, message):
+    # an empty grid fails inside the estimate, so this message shows that
+    # the search was checked first
+    r = run_cli(["verify", "--map", "lm", "--property", "sandwich", "--grid", "0", flag, value], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr
+    assert "error: grid must be nonempty" not in r.stderr
 
 
 def test_verify_unknown_property_exits_2(tmp_path):

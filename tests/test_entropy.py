@@ -13,6 +13,7 @@ from rotaset import (
     dynamical_distance,
     estimate_entropy,
     horseshoe_disk,
+    maps,
 )
 from rotaset.entropy import _spanning_counts, flat_distance, orbit_table
 
@@ -95,19 +96,20 @@ def test_orbit_table_layout(lm):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("workers", [1, 2])
-def test_orbit_table_escape_names_step_and_start(workers):
+def test_orbit_table_escape_names_step_and_start():
     with pytest.raises(IterationError) as exc:
-        orbit_table(EscapesRightHalf(), 32, 3, workers=workers)
+        orbit_table(EscapesRightHalf(), 32, 3)
     assert exc.value.step == 1
     assert exc.value.start == (0.5, 0.0)
     assert str(exc.value) == "orbit from start (0.5, 0.0) escaped at step 1"
 
 
-def test_orbit_table_worker_independence(lm):
-    a = orbit_table(lm, 48, 6, workers=1)
-    b = orbit_table(lm, 48, 6, workers=4)
-    assert np.array_equal(a, b)
+def test_orbit_table_worker_independence(lm, monkeypatch):
+    # the default block holds the whole grid; then blocks of 1 and 3 rows
+    a = orbit_table(lm, 48, 6)
+    for rows in (1, 3):
+        monkeypatch.setattr(maps, "_BLOCK_POINTS", rows * 48)
+        assert np.array_equal(orbit_table(lm, 48, 6), a)
 
 
 def test_estimate_isometries_near_zero(identity, irrational_translation):

@@ -1,8 +1,7 @@
 """The orbit engine gives the bytes of a plain step loop at every chunk
 shape. Escaped orbits: every orbit loop raises the same error, naming the
-earliest escaped step and the first start escaped there, at any worker
-count and without a warning on the way. Grid runs give the same results
-and errors at any block size and worker count."""
+earliest escaped step and the first start escaped there, without a warning
+on the way. Grid runs give the same results and errors at any block size."""
 import warnings
 from dataclasses import dataclass
 
@@ -148,17 +147,16 @@ def test_escape_names_step_and_start(name):
     assert str(err) == "orbit from start (0.5, 0.0) escaped at step 1"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "run",
     [
-        lambda workers: orbit_table(EscapesAfterShift(), 32, 3, workers=workers),
-        lambda workers: estimate_rotation_set(EscapesAfterShift(), (32, 32), (2, 3), workers=workers),
+        lambda: orbit_table(EscapesAfterShift(), 32, 3),
+        lambda: estimate_rotation_set(EscapesAfterShift(), (32, 32), (2, 3)),
     ],
     ids=["orbit_table", "estimate_rotation_set"],
 )
-def test_escape_is_the_earliest_at_any_worker_count(run, workers):
-    err = _escape(lambda: run(workers))
+def test_grid_run_escape_is_the_earliest(run):
+    err = _escape(run)
     assert err.step == 1
     assert err.start == (0.5, 0.0)
     assert str(err) == "orbit from start (0.5, 0.0) escaped at step 1"
@@ -193,37 +191,31 @@ def one_block(lm):
         )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
-def test_estimate_is_independent_of_blocks_and_workers(lm, one_block, monkeypatch, rows, workers):
+def test_estimate_is_independent_of_blocks(lm, one_block, monkeypatch, rows):
     _set_block_rows(monkeypatch, rows, ROTSET_GRID[1])
-    est = estimate_rotation_set(lm, ROTSET_GRID, (10, 30), offset=0.37, workers=workers)
+    est = estimate_rotation_set(lm, ROTSET_GRID, (10, 30), offset=0.37)
     assert est == one_block[0]  # samples included, exact floats
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
-def test_orbit_table_is_independent_of_blocks_and_workers(lm, one_block, monkeypatch, rows, workers):
+def test_orbit_table_is_independent_of_blocks(lm, one_block, monkeypatch, rows):
     _set_block_rows(monkeypatch, rows, TABLE_RES)
-    assert np.array_equal(orbit_table(lm, TABLE_RES, 6, workers=workers), one_block[1])
+    assert np.array_equal(orbit_table(lm, TABLE_RES, 6), one_block[1])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
 @pytest.mark.parametrize(
     "run, row_len",
     [
-        (lambda workers: orbit_table(EscapesInALaterBlockFirst(), TABLE_RES, 3, workers=workers), TABLE_RES),
-        (
-            lambda workers: estimate_rotation_set(EscapesInALaterBlockFirst(), ROTSET_GRID, (2, 3), workers=workers),
-            ROTSET_GRID[1],
-        ),
+        (lambda: orbit_table(EscapesInALaterBlockFirst(), TABLE_RES, 3), TABLE_RES),
+        (lambda: estimate_rotation_set(EscapesInALaterBlockFirst(), ROTSET_GRID, (2, 3)), ROTSET_GRID[1]),
     ],
     ids=["orbit_table", "estimate_rotation_set"],
 )
-def test_escape_in_a_later_block_is_the_earliest(monkeypatch, run, row_len, rows, workers):
+def test_escape_in_a_later_block_is_the_earliest(monkeypatch, run, row_len, rows):
     _set_block_rows(monkeypatch, rows, row_len)
-    err = _escape(lambda: run(workers))
+    err = _escape(run)
     assert err.step == 1
     assert err.start == (0.8, 0.0)
     assert str(err) == "orbit from start (0.8, 0.0) escaped at step 1"

@@ -12,6 +12,7 @@ from rotaset import (
     estimate_rotation_set,
     hausdorff_distance,
     interior_nonempty,
+    maps,
     polygon_area,
     polygon_diameter,
     rotation_vector,
@@ -114,13 +115,13 @@ def test_estimate_validates_inputs(lm):
         estimate_rotation_set(lm, (8, 8), ())
 
 
-def test_worker_partition_independence(lm):
-    a = estimate_rotation_set(lm, (48, 16), (60, 120), workers=1)
-    b = estimate_rotation_set(lm, (48, 16), (60, 120), workers=4)
-    c = estimate_rotation_set(lm, (48, 16), (60, 120), workers=8)
-    ja = canonical_json(a.to_json_dict(include_samples=True))
-    assert ja == canonical_json(b.to_json_dict(include_samples=True))
-    assert ja == canonical_json(c.to_json_dict(include_samples=True))
+def test_worker_partition_independence(lm, monkeypatch):
+    # the default block holds the whole grid; then blocks of 1 and 3 rows
+    ja = canonical_json(estimate_rotation_set(lm, (48, 16), (60, 120)).to_json_dict(include_samples=True))
+    for rows in (1, 3):
+        monkeypatch.setattr(maps, "_BLOCK_POINTS", rows * 16)
+        est = estimate_rotation_set(lm, (48, 16), (60, 120))
+        assert canonical_json(est.to_json_dict(include_samples=True)) == ja
 
 
 def test_translation_equivariance_discrepancies(lm, irrational_translation):
