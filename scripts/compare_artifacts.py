@@ -1,11 +1,11 @@
 """Compare two source trees of rotaset command by command.
 
-Runs a fixed set of argvs through ``python -m rotaset`` once per tree and
-worker count (1 and 4), with PYTHONPATH set to that tree's source
-directory, and prints every difference between the trees in exit code,
-stdout or a file written to ``--out``. The set is the acceptance-8
-commands, a few `verify` properties and iterate maps, and one round of
-each benchmark workload (perfbench/workloads.py, seed 1).
+Runs a fixed set of argvs through ``python -m rotaset`` once per tree,
+with PYTHONPATH set to that tree's source directory, and prints every
+difference between the trees in exit code, stdout or a file written to
+``--out``. The set is the acceptance-8 commands, a few `verify`
+properties and iterate maps, and one round of each benchmark workload
+(perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
 
@@ -27,7 +27,6 @@ sys.dont_write_bytecode = True  # leave perfbench/ as it is
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
-WORKERS = (1, 4)
 DIFF_LINES = 40  # most diff lines printed per file
 ITERATE_LM = json.dumps({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}})
 
@@ -56,11 +55,10 @@ def _argvs() -> list:
     return out
 
 
-def _run(src: Path, argv: list, workers: int, out: Path):
+def _run(src: Path, argv: list, out: Path):
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("ROTASET_WORKERS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "rotaset", *argv, "--workers", str(workers), "--out", str(out)],
+        [sys.executable, "-m", "rotaset", *argv, "--out", str(out)],
         env=env, cwd=out.parent, capture_output=True, text=True, timeout=900,
     )
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
@@ -76,11 +74,11 @@ def _diff(a: str, b: str, label: str) -> list:
     return diff[:DIFF_LINES] + more
 
 
-def compare(parent_src: Path, change_src: Path, argv: list, workers: int) -> list:
+def compare(parent_src: Path, change_src: Path, argv: list) -> list:
     """Differences between the two trees on one argv, as printable lines."""
     with tempfile.TemporaryDirectory() as tmp:
-        a = _run(parent_src, argv, workers, Path(tmp) / "parent")
-        b = _run(change_src, argv, workers, Path(tmp) / "change")
+        a = _run(parent_src, argv, Path(tmp) / "parent")
+        b = _run(change_src, argv, Path(tmp) / "change")
     out = []
     if a[0] != b[0]:
         out.append(f"exit code {a[0]} -> {b[0]}")
@@ -105,13 +103,12 @@ def main() -> int:
     argvs = _argvs()
     differing = 0
     for argv in argvs:
-        for workers in WORKERS:
-            diff = compare(args.parent_src.resolve(), args.change_src.resolve(), argv, workers)
-            print(f"[{'DIFFERS' if diff else 'same'}] workers={workers} {' '.join(argv)}", flush=True)
-            for line in diff:
-                print(f"    {line}")
-            differing += bool(diff)
-    print(f"{differing} of {len(argvs) * len(WORKERS)} runs differ")
+        diff = compare(args.parent_src.resolve(), args.change_src.resolve(), argv)
+        print(f"[{'DIFFERS' if diff else 'same'}] {' '.join(argv)}", flush=True)
+        for line in diff:
+            print(f"    {line}")
+        differing += bool(diff)
+    print(f"{differing} of {len(argvs)} runs differ")
     return 1 if differing else 0
 
 

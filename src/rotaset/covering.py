@@ -52,10 +52,6 @@ class CoveringTorus:
     def label(self) -> str:
         return f"{self.factors[0]}x{self.factors[1]}"
 
-    @property
-    def cell_count_scale(self) -> int:
-        return self.factors[0] * self.factors[1]
-
 
 BASE_TORUS = CoveringTorus((1, 1))
 HORIZONTAL_DOUBLE = CoveringTorus((2, 1))  # width 2
@@ -181,8 +177,8 @@ def transitivity_score(
     dyn = lift_to_covering(lift, cover)
 
     s_arr = np.asarray(starts, dtype=float)
-    if np.any(s_arr < 0) or np.any(s_arr >= np.asarray([m, n], dtype=float)):
-        raise ValueError("starts must lie in the fundamental domain [0,m)×[0,n)")
+    if not np.all((s_arr >= 0) & (s_arr < np.asarray([m, n], dtype=float))):  # NaN fails both
+        raise ValueError("starts must be finite and lie in the fundamental domain [0,m)×[0,n)")
     u, w = dyn.split(s_arr)
     S = len(starts)
     grids = np.zeros((S, ny, nx), dtype=bool)

@@ -43,9 +43,9 @@ _CONTINUUM_FRACTION = 0.25  # of converged (target, seed) runs
 _CONTINUUM_FRACTION_RETARGETED = 2 / 3  # of converged seeds
 _CONTINUUM_SAMPLE = 16
 # Most rows per Newton batch: seeds, each picking its own targets, or the
-# (target, seed) pairs of a small search. The probe call iterates four
-# points per row, and peak RSS grows with the cap: 2048 rows cost about
-# 0.4 MB more than 1024 in the benchmark's cover-periodic run.
+# (target, seed) pairs of a small search. Newton's one call per iteration
+# iterates five points per row, and peak RSS grows with the cap: 2048 rows
+# cost about 0.4 MB more than 1024 in the benchmark's cover-periodic run.
 _BATCH_ROWS = 1024
 # Most (target, seed) pairs that run once per pair, fixed target each: from
 # few seeds, re-targeting reaches fewer roots (lm q=3 at 5×5 seeds: 12 of
@@ -134,10 +134,10 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, targets=None):
     solved as an explicit 2×2 system; seeds where it degenerates are
     dropped and marked singular (constant-displacement maps have DF^q = I
     everywhere, so G is affine-degenerate and Newton is moot — such seeds
-    either start converged or are unsolvable). Each iteration makes two
-    `iterate` calls: G on the active seeds, then the four probes
-    x ± h·e₀, x ± h·e₁ of the seeds not yet converged as one (4, n, 2)
-    batch.
+    either start converged or are unsolvable). Each iteration makes one
+    `iterate` call on the active seeds x and their four probes
+    x ± h·e₀, x ± h·e₁, as one (5, n, 2) batch; converged and singular
+    seeds then leave together, a converged seed never counted singular.
     """
     retarget = targets is None
     x = seeds.copy()
@@ -150,31 +150,25 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, targets=None):
     for _ in range(_MAX_NEWTON_ITERS):
         if len(idx) == 0:
             break
-        g = iterate(lift, xa, q) - xa
+        f = iterate(lift, np.stack([xa, xa + e0, xa - e0, xa + e1, xa - e1]), q)
+        g = f[0] - xa
         pa = np.round(g) if retarget else ta
         g -= pa
         done = np.max(np.abs(g), axis=-1) <= _NEWTON_TOL
-        if done.any():
-            converged[idx[done]] = True
-            x[idx[done]] = xa[done]
-            if retarget:
-                p[idx[done]] = pa[done]
-            keep = ~done
-            xa, ta, g, idx = xa[keep], ta[keep], g[keep], idx[keep]
-            if len(idx) == 0:
-                break
-
-        f = iterate(lift, np.stack([xa + e0, xa - e0, xa + e1, xa - e1]), q)
-        jac = (f[0::2] - f[1::2]) / (2 * _FD_STEP)  # columns ∂F/∂x₀, ∂F/∂x₁
+        jac = (f[1::2] - f[2::2]) / (2 * _FD_STEP)  # columns ∂F/∂x₀, ∂F/∂x₁
         a = jac[0, :, 0] - 1.0
         c = jac[0, :, 1]
         b = jac[1, :, 0]
         d = jac[1, :, 1] - 1.0
         det = a * d - b * c
-        bad = (np.abs(det) < 1e-12) | ~np.isfinite(det)
-        if bad.any():
-            singular[idx[bad]] = True
-            keep = ~bad
+        bad = ((np.abs(det) < 1e-12) | ~np.isfinite(det)) & ~done
+        converged[idx[done]] = True
+        x[idx[done]] = xa[done]
+        if retarget:
+            p[idx[done]] = pa[done]
+        singular[idx[bad]] = True
+        keep = ~(done | bad)
+        if not keep.all():
             xa, ta, g, idx = xa[keep], ta[keep], g[keep], idx[keep]
             a, b, c, d, det = a[keep], b[keep], c[keep], d[keep], det[keep]
         dx0 = (-g[:, 0] * d + g[:, 1] * b) / det
@@ -196,10 +190,11 @@ def _reduce(z: np.ndarray) -> np.ndarray:
     return u
 
 
-def _greedy_distinct(disp: np.ndarray, dist) -> np.ndarray:
+def _greedy_distinct(disp: np.ndarray, reps: np.ndarray, orbits: np.ndarray) -> np.ndarray:
     """Indices of the roots kept by a greedy pass in array order: keep root
-    i, then mask out every later root with the same displacement at
-    dist(i, later) ≤ 1e-6, for an index array `later`."""
+    i, then mask out every later root with the same displacement whose
+    orbit `orbits[:, later]` ((k, roots, 2), k points per root) comes within
+    1e-6 of reps[i]."""
     label = np.unique(disp, axis=0, return_inverse=True)[1].reshape(-1)
     alive = np.ones(len(disp), dtype=bool)
     kept = []
@@ -208,7 +203,8 @@ def _greedy_distinct(disp: np.ndarray, dist) -> np.ndarray:
             continue
         kept.append(i)
         later = i + 1 + np.flatnonzero(alive[i + 1 :] & (label[i + 1 :] == label[i]))
-        alive[later[dist(i, later) <= _DEDUP_TOL]] = False
+        near = np.min(_torus_dist_inf(orbits[:, later], reps[i]), axis=0) <= _DEDUP_TOL
+        alive[later[near]] = False
     return np.asarray(kept, dtype=np.intp)
 
 
@@ -251,10 +247,11 @@ def find_periodic(
     seeds = grid_starts(rows, cols, 0.5)
 
     bound = displacement_box * q
-    span = np.arange(-bound, bound + 1, dtype=float)
-    targets = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
-    if len(targets) * len(seeds) <= _PER_TARGET_ROWS:
-        t, seed_of = np.divmod(np.arange(len(targets) * len(seeds)), len(seeds))
+    pairs = (2 * bound + 1) ** 2 * len(seeds)
+    if pairs <= _PER_TARGET_ROWS:
+        span = np.arange(-bound, bound + 1, dtype=float)
+        targets = np.stack(np.meshgrid(span, span, indexing="ij"), axis=-1).reshape(-1, 2)
+        t, seed_of = np.divmod(np.arange(pairs), len(seeds))
         fixed, fraction = targets[t], _CONTINUUM_FRACTION
     else:
         fixed, seed_of, fraction = None, np.arange(len(seeds)), _CONTINUUM_FRACTION_RETARGETED
@@ -282,41 +279,41 @@ def find_periodic(
     # point-level dedup (flag statistics count distinct roots, not orbits)
     order = np.lexsort((u[:, 1], u[:, 0]))
     u, p = u[order], p[order]
-    distinct = _greedy_distinct(p, lambda i, later: _torus_dist_inf(u[later], u[i]))
+    distinct = _greedy_distinct(p, u, u[None])
     u, p = u[distinct], p[distinct]
 
     non_isolated = runs_converged > 0 and len(u) > fraction * runs_converged
 
-    # drop roots whose true period divides q properly
-    lower = np.zeros(len(u), dtype=bool)
-    for d in range(1, q):
-        if q % d == 0:
-            z = iterate(lift, u, d)
-            k = np.round(z - u)
-            lower |= (np.max(np.abs(z - u - k), axis=-1) <= _DEDUP_TOL) & (
-                _torus_dist_inf(_reduce(z), u) <= _DEDUP_TOL
-            )
-    u, p = u[~lower], p[~lower]
+    # q = 1: no lower period, each root is its own orbit, and dedup left them apart and sorted
+    if q > 1:
+        # drop roots whose true period divides q properly
+        lower = np.zeros(len(u), dtype=bool)
+        for d in range(1, q):
+            if q % d == 0:
+                z = iterate(lift, u, d)
+                k = np.round(z - u)
+                lower |= (np.max(np.abs(z - u - k), axis=-1) <= _DEDUP_TOL) & (
+                    _torus_dist_inf(_reduce(z), u) <= _DEDUP_TOL
+                )
+        u, p = u[~lower], p[~lower]
 
-    # collapse orbit mates to the lexicographically smallest orbit point;
-    # membership is tested against the whole orbit, not the representative
-    # alone — near the 0/1 wrap the lexicographic minimum of an orbit is not
-    # stable under the float noise of iterating from different roots
-    orbit = [u]
-    z = u
-    for _ in range(q - 1):
-        z = iterate(lift, z, 1)
-        orbit.append(_reduce(z))
-    orbit = np.stack(orbit)  # (q, roots, 2)
-    best = np.lexsort((orbit[..., 1], orbit[..., 0]), axis=0)[0]
-    reps = orbit[best, np.arange(len(u))]
-    mates = _greedy_distinct(
-        p, lambda i, later: np.min(_torus_dist_inf(orbit[:, later], reps[i]), axis=0)
-    )
-    u, p = reps[mates], p[mates]
+        # collapse orbit mates to the lexicographically smallest orbit point;
+        # membership is tested against the whole orbit, not the representative
+        # alone — near the 0/1 wrap the lexicographic minimum of an orbit is
+        # not stable under the float noise of iterating from different roots
+        orbit = [u]
+        z = u
+        for _ in range(q - 1):
+            z = iterate(lift, z, 1)
+            orbit.append(_reduce(z))
+        orbit = np.stack(orbit)  # (q, roots, 2)
+        best = np.lexsort((orbit[..., 1], orbit[..., 0]), axis=0)[0]
+        reps = orbit[best, np.arange(len(u))]
+        mates = _greedy_distinct(p, reps, orbit)
+        u, p = reps[mates], p[mates]
 
-    order = np.lexsort((u[:, 1], u[:, 0]))
-    u, p = u[order], p[order]
+        order = np.lexsort((u[:, 1], u[:, 0]))
+        u, p = u[order], p[order]
     orbits = [
         PeriodicOrbit((float(pt[0]), float(pt[1])), q, (int(pv[0]), int(pv[1])), float(r))
         for pt, pv, r in zip(u, p, _residual(lift, u, q, p))

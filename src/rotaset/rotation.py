@@ -111,7 +111,6 @@ def estimate_rotation_set(
     grid=DEFAULT_GRID,
     horizons=DEFAULT_HORIZONS,
     offset: float = 0.0,
-    map_id: str | None = None,
 ) -> RotationSetEstimate:
     """Hulls of displacement averages over a grid of starts.
 
@@ -153,7 +152,7 @@ def estimate_rotation_set(
         for (x, y), (ax, ay) in zip(u0.tolist(), final.tolist())
     )
     return RotationSetEstimate(
-        map_id=map_id if map_id is not None else map_label(lift),
+        map_id=map_label(lift),
         grid=(rows, cols),
         horizons=horizons,
         samples=samples,

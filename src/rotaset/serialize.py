@@ -1,9 +1,10 @@
 """Deterministic artifact writers.
 
-All numeric output flows through one float formatter (shortest repr via
-%.17g round-trips float64 exactly, -0.0 normalized to 0), and JSON keys are
-emitted sorted, so re-running a computation with the same inputs produces
-byte-identical files regardless of worker count or dict construction order.
+All numeric output flows through one float formatter (%.17g: 17
+significant digits, which round-trip every float64; -0.0 normalized to 0),
+and JSON keys are emitted sorted, so re-running a computation with the
+same inputs produces byte-identical files regardless of worker count or
+dict construction order.
 """
 from __future__ import annotations
 

@@ -303,6 +303,14 @@ def test_bad_cover_power_or_resolution_exits_2(tmp_path, flag, value, message):
     assert not (tmp_path / "cover.json").exists()
 
 
+def test_nonfinite_cover_start_exits_2(tmp_path):
+    r = run_cli(["cover", "--map", "lm", "--starts", "nan,0.2", "--iters", "5000", "--resolution", "8"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "finite" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "cover.json").exists()
+
+
 def test_verify_translation_ok(tmp_path):
     r = run_cli(
         ["verify", "--map", "lm", "--property", "translation", "--v", "1,0", "--grid", "12", "--horizons", "60,120"],

@@ -151,6 +151,12 @@ def test_transitivity_requires_enough_iterations(identity):
         transitivity_score(identity, FOUR_FOLD, starts=((2.5, 0.1),), iterations=5000, cell_resolution=8)
 
 
+@pytest.mark.parametrize("start", [(float("nan"), 0.2), (0.1, float("inf"))], ids=["nan", "inf"])
+def test_transitivity_rejects_nonfinite_start(identity, start):
+    with pytest.raises(ValueError, match="finite"):
+        transitivity_score(identity, BASE_TORUS, starts=(start,), iterations=5000, cell_resolution=8)
+
+
 def test_classification_thresholds():
     assert classify_occupancy(0.98) == "transitive-like"
     assert classify_occupancy(0.979) == "inconclusive"

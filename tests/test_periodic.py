@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -425,6 +426,32 @@ def test_batch_boundaries_do_not_change_retargeted_results(monkeypatch, lm, cap)
     want = find_periodic(lm, 2, 1, (9, 10))
     monkeypatch.setattr(periodic, "_BATCH_ROWS", cap)
     assert find_periodic(lm, 2, 1, (9, 10)) == want
+
+
+@pytest.mark.parametrize("side", [4, 24], ids=["per-target", "retargeted"])
+@pytest.mark.parametrize(
+    "lift, converged", [(Identity(), True), (Translation((0.5, 0.0)), False)], ids=["identity", "half-translation"]
+)
+def test_newton_seed_counters(lift, converged, side):
+    # identity: every seed converges, none singular; a half translation has
+    # DF = I and no fixed point, so every seed is singular
+    r = find_periodic(lift, 1, 1, (side, side))
+    n = side * side
+    assert (r.seeds_total, r.seeds_converged, r.seeds_singular) == (n, n * converged, n * (not converged))
+    _, _, conv, sing = periodic._newton_batch(lift, np.full((n, 2), 0.25), 1)
+    assert conv.all() == converged and not (conv & sing).any()
+
+
+def test_retargeted_search_builds_no_target_grid():
+    # (2·400 + 1)² targets × 4 seeds are 2.6 million pairs: past the
+    # per-target cap, so the grid of targets is never built
+    tracemalloc.start()
+    try:
+        find_periodic(Identity(), 200, 2, (2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_escape_names_first_start_of_first_batch():
