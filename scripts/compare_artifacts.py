@@ -4,8 +4,8 @@ Runs a fixed set of argvs through ``python -m rotaset`` once per tree,
 with PYTHONPATH set to that tree's source directory, and prints every
 difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
-properties and iterate maps, and one round of each benchmark workload
-(perfbench/workloads.py, seed 1).
+properties, iterate maps and an integer translate, and one round of each
+benchmark workload (perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
 
@@ -29,6 +29,7 @@ import workloads  # noqa: E402
 
 DIFF_LINES = 40  # most diff lines printed per file
 ITERATE_LM = json.dumps({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}})
+TRANSLATE_LM = json.dumps({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [0, -3]}})
 
 FIXED = [
     # acceptance 8
@@ -42,6 +43,8 @@ FIXED = [
     ["verify", "--map", "lm", "--property", "iterate-scaling", "--grid", "32", "--horizons", "50,100"],
     ["verify", "--map", "lm", "--property", "sandwich", "--grid", "32", "--horizons", "50,100", "--seeds", "16"],
     ["rotset", "--map-json", ITERATE_LM, "--grid", "32", "--horizons", "50,100", "--csv"],
+    # a zero winding component, per-sample CSV and per-horizon hulls of a generic cloud
+    ["rotset", "--map-json", TRANSLATE_LM, "--offset", "0.37", "--csv", "--svg"],
     ["entropy", "--map-json", ITERATE_LM, "--eps", "0.1", "--lengths", "2..4", "--resolution", "48"],
     ["cover", "--map", "rotation", "--alpha", "0.41421356", "--beta", "0.3", "--factors", "2x1",
      "--iters", "3000", "--resolution", "8", "--power", "2"],

@@ -28,6 +28,17 @@ __all__ = [
 # of float point clouds stable without discarding genuinely distant points.
 _COLLINEAR_REL_TOL = 1e-12
 
+# The hull drops, before its chain, the points that lie deeper than a margin
+# inside every edge of the polygon of the input's extreme points in 8
+# directions: this fraction of the bounding-box diagonal, 1000 times the
+# collinearity tolerance, so that no dropped point decides a step of the
+# chain; plus this fraction of the largest coordinate magnitude, for clouds
+# far from the origin, where the chain's rounding exceeds its tolerance (with
+# the diagonal term alone, micro-scale clouds at base 1e3 and 1e6 in
+# tests/test_geometry.py gave other vertices).
+_PREFILTER_REL_MARGIN = 1e-9
+_PREFILTER_ABS_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -64,11 +75,45 @@ def _canonical(verts: np.ndarray) -> ConvexPolygon:
     return ConvexPolygon(tuple(map(tuple, ordered)))
 
 
+def _drop_deep_interior(pts: np.ndarray) -> np.ndarray:
+    """pts without the points that lie more than the prefilter margin inside
+    every edge of the octagon of its extreme points in the directions of x,
+    y, x + y and x − y (both signs), in input order."""
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    # one extreme per direction, counterclockwise from -x: a convex loop
+    octagon = pts[
+        [x.argmin(), s.argmin(), y.argmin(), d.argmax(), x.argmax(), s.argmax(), y.argmax(), d.argmin()]
+    ]
+    # the octagon holds the extremes of x and y: pts' bounding box and magnitude
+    span = octagon.max(axis=0) - octagon.min(axis=0)
+    if not span.any():
+        return pts  # one point, repeated
+    margin = _PREFILTER_REL_MARGIN * math.hypot(float(span[0]), float(span[1]))
+    margin += _PREFILTER_ABS_MARGIN * float(np.abs(octagon).max())
+    deep = np.ones(len(pts), dtype=bool)
+    for a, b in zip(octagon, np.roll(octagon, -1, axis=0)):
+        ex, ey = b - a
+        if ex or ey:  # not one point extreme in two directions
+            deep &= ex * (y - a[1]) - ey * (x - a[0]) > margin * math.hypot(ex, ey)
+    return pts[~deep]
+
+
 def convex_hull(points) -> ConvexPolygon:
     """Monotone-chain hull with a relative collinearity tolerance.
 
     Accepts any iterable of (x, y); duplicates are fine. Returns a point or
     segment when the input is degenerate at tolerance.
+
+    A prefilter first drops every point that lies deeper than a margin inside
+    each edge of the polygon of the input's extreme points in 8 directions
+    (min and max of x, y, x + y and x − y). The margin is
+    `_PREFILTER_REL_MARGIN` times the bounding-box diagonal plus
+    `_PREFILTER_ABS_MARGIN` times the largest coordinate magnitude. Such a
+    point is never a vertex, and at that depth it decides no step of the
+    chain: the hull is the whole input's, bit for bit, which the tests check
+    against the unfiltered chain on clouds built to break it. A cloud of
+    16384 rotation-set averages keeps a few dozen points.
     """
     pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points, dtype=float)
     if pts.size == 0:
@@ -76,7 +121,7 @@ def convex_hull(points) -> ConvexPolygon:
     pts = pts.reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite input point")
-    pts = np.unique(pts, axis=0)  # sorts lexicographically
+    pts = np.unique(_drop_deep_interior(pts), axis=0)  # sorts lexicographically
     if len(pts) == 1:
         return ConvexPolygon((tuple(pts[0]),))
 

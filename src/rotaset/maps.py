@@ -66,9 +66,9 @@ _ORBIT_CHUNK_POINTS = 1024
 
 # Starts per block of a grid run, rounded down to whole grid rows (at least
 # one): a block's per-step temporaries then stay in cache. On a 2-core
-# x86-64 VM, 16384 `lm` starts x 2000 steps took 1.23-1.33 s as one batch
-# and 0.93-0.96 s in blocks of 4096 or 8192; 2048 was no faster than one
-# batch, and 1024 or fewer slower.
+# x86-64 VM, 16384 `lm` starts x 2000 steps took 0.65-0.79 s as one batch,
+# 0.47-0.49 s in blocks of 4096 and 0.60-0.70 s in blocks of 8192; 2048 was
+# no faster than one batch, and 1024 slower (0.86-1.00 s).
 _BLOCK_POINTS = 4096
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
@@ -96,6 +96,10 @@ class IterationError(RuntimeError):
         super().__init__(f"orbit from start {start} escaped at step {step}")
         self.step = step
         self.start = start
+
+    def __reduce__(self):
+        # args hold only the message: rebuild from (step, start) instead
+        return (IterationError, (self.step, self.start))
 
 
 def _as_points(p) -> np.ndarray:
@@ -409,7 +413,6 @@ class IntegerTranslate(TorusLift, spec="integer_translate"):
     def __post_init__(self):
         object.__setattr__(self, "v", _param("v", self.v, pair=True, integral=True))
         object.__setattr__(self, "_shift", _frozen_array(self.v, float))
-        object.__setattr__(self, "_winding", _frozen_array(self.v, np.int64))
 
     def _apply(self, pts):
         return self.base._apply(pts) + self._shift
@@ -419,7 +422,12 @@ class IntegerTranslate(TorusLift, spec="integer_translate"):
 
     def _step(self, u):
         u2, w = self.base._step(u)
-        w += self._winding
+        # one scalar add per nonzero coordinate: adding a (2,) row to an
+        # (n, 2) array runs n inner loops of length 2, 23.6 µs at 4096
+        # points against 6.2 µs for the two column adds (2-core x86-64 VM)
+        for i, c in enumerate(self.v):
+            if c:
+                w[..., i] += c
         return u2, w
 
 
@@ -479,7 +487,7 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
                 # not the several-step path: a cumulative sum over a (1, n, 2)
                 # array runs one column at a time, 60 µs at 4096 points
                 us, ws = u[None], np.add(dw, w, out=dw)[None]  # dw is fresh: no allocation
-                finite = np.isfinite([u]).all()  # on a copy, as before (ROADMAP, P0)
+                finite = np.isfinite(u).all()
             else:
                 us, dws = [], []
                 for _ in steps:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rotaset import (
     ConvexPolygon,
+    IntegerTranslate,
     affine_image,
     contains_point,
     convex_hull,
@@ -16,7 +17,14 @@ from rotaset import (
     polygon_area,
     polygon_diameter,
 )
-from rotaset.geometry import _COLLINEAR_REL_TOL, _canonical
+from rotaset.geometry import (
+    _COLLINEAR_REL_TOL,
+    _PREFILTER_ABS_MARGIN,
+    _PREFILTER_REL_MARGIN,
+    _canonical,
+    _drop_deep_interior,
+)
+from rotaset.rotation import DEFAULT_HORIZONS
 
 from .conftest import UNIT_SQUARE
 
@@ -287,3 +295,83 @@ def test_hull_equals_the_numpy_scalar_chain_on_lm_averages(lm, offset):
     hull = _convex_hull_reference(averages)
     assert hull == convex_hull(averages) == est.hull
     assert len(hull.vertices) >= (4 if offset == 0.0 else 3)
+
+
+# --- the hull's prefilter on clouds built to trip it --------------------------
+
+
+def _octagon_margin_cloud(rng):
+    """A regular octagon whose vertices are the extremes in its 8 directions,
+    with points spread along each edge just inside and just outside the
+    prefilter margin, on the edge and within the collinearity tolerance of
+    it; the margin as convex_hull computes it."""
+    verts = _on_circle(np.arange(8) * math.pi / 4)
+    margin = _PREFILTER_REL_MARGIN * math.hypot(2.0, 2.0) + _PREFILTER_ABS_MARGIN * 1.0
+    tol = _COLLINEAR_REL_TOL * math.hypot(2.0, 2.0)
+    depths = [margin * (1 + r) for r in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)] + [0.0, tol, -tol, 2 * margin]
+    out = [verts]
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        t = rng.uniform(0.0, 1.0, (len(depths), 8, 1))
+        inward = np.array([-(b - a)[1], (b - a)[0]]) / math.hypot(*(b - a))
+        out.append((a + t * (b - a) + np.asarray(depths)[:, None, None] * inward).reshape(-1, 2))
+    return np.concatenate(out)
+
+
+def _near_collinear_edge_cloud(rng):
+    """A triangle whose long edge carries vertices bumped off it by about the
+    collinearity tolerance, with interior points spread along that edge just
+    inside and just outside the prefilter margin."""
+    line = np.linspace(0.0, 1.0, 64)[:, None]
+    a, b = np.array([0.0, 0.0]), np.array([3.0, 1.0])
+    normal = np.array([-1.0, 3.0]) / math.hypot(3.0, 1.0)  # points into the triangle
+    span = math.hypot(3.0, 2.0)
+    tol = _COLLINEAR_REL_TOL * span
+    margin = _PREFILTER_REL_MARGIN * span + _PREFILTER_ABS_MARGIN * 3.0
+    edge = a + line * (b - a) + tol * rng.uniform(-1.0, 1.0, (64, 1)) * normal
+    depths = margin * rng.choice([0.999, 1.001, 2.0, 1e3], (256, 1))
+    inner = a + rng.uniform(0.0, 1.0, (256, 1)) * (b - a) + depths * normal
+    return np.concatenate([edge, inner, [(0.0, 2.0)]])
+
+
+def _micro_clouds(rng, base, span, shape):
+    """Ten clouds each of 30, 200 and 1000 points of one shape and span, far
+    from the origin: at base 1e6 and span 1e-9 the coordinates take about 17
+    values per axis, and the chain's rounding is far above its tolerance."""
+    for n in (30, 200, 1000):
+        for _ in range(10):
+            if shape == "uniform":
+                yield base + span * rng.uniform(-1.0, 1.0, (n, 2))
+            else:
+                yield base + span * _on_circle(rng.uniform(0.0, 2 * math.pi, n))
+
+
+MICRO = [
+    (base, span, shape)
+    for base in (1e3, 1e6, 1e9)
+    for span in (1e-12, 1e-9, 1e-6)
+    for shape in ("uniform", "circle")
+]
+
+
+@pytest.mark.parametrize("base, span, shape", MICRO, ids=[f"{b:g}+{s:g}-{c}" for b, s, c in MICRO])
+def test_hull_equals_the_numpy_scalar_chain_on_micro_clouds_far_out(base, span, shape):
+    rng = np.random.default_rng(MICRO.index((base, span, shape)))
+    for pts in _micro_clouds(rng, base, span, shape):
+        assert convex_hull(pts) == _convex_hull_reference(pts)
+
+
+@pytest.mark.parametrize("cloud", [_octagon_margin_cloud, _near_collinear_edge_cloud])
+def test_hull_equals_the_numpy_scalar_chain_at_the_prefilter_margin(cloud):
+    pts = cloud(np.random.default_rng(20261019))
+    assert len(_drop_deep_interior(pts)) < len(pts)  # the prefilter took part
+    assert convex_hull(pts) == _convex_hull_reference(pts)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.37, 0.5])
+def test_hull_equals_the_numpy_scalar_chain_on_translated_lm_averages(lm, offset):
+    lift = IntegerTranslate(lm, (2, -1))
+    for horizon in DEFAULT_HORIZONS:
+        est = estimate_rotation_set(lift, horizons=(horizon,), offset=offset)
+        averages = np.asarray([s.displacement_average for s in est.samples])
+        assert len(_drop_deep_interior(averages)) < len(averages) // 100
+        assert convex_hull(averages) == _convex_hull_reference(averages) == est.hull

@@ -26,6 +26,7 @@ from rotaset import (
     tent,
     torus_step,
 )
+from rotaset import maps
 from rotaset.maps import _MAX_SUBSTEPS, BUILTIN_MAPS, TorusLift, map_defaults, map_label
 
 from .conftest import IRRATIONAL
@@ -228,6 +229,31 @@ def test_integer_translate_windings_exact(lm, rng):
     u_shift, k_shift = torus_step(IntegerTranslate(lm, (5, -3)), u)
     assert np.array_equal(u_base, u_shift)  # same torus stream, bitwise
     assert np.array_equal(k_shift - k_base, np.broadcast_to([5, -3], k_base.shape))
+
+
+def _wrapped(values) -> np.ndarray:
+    """Python ints as the int64 they wrap to."""
+    return np.asarray([(x + 2**63) % 2**64 - 2**63 for x in values], dtype=np.int64)
+
+
+@pytest.mark.parametrize("v", [(0, 5), (2**62, -(2**62) + 1)], ids=["zero-component", "near-int64-limits"])
+@pytest.mark.parametrize("batch", [1, 4096])
+def test_integer_translate_windings_exact_at_any_batch(lm, rng, batch, v):
+    shifted = IntegerTranslate(lm, v)
+    u = rng.random((batch, 2))
+    u_base, k_base = torus_step(lm, u)
+    u_shift, k_shift = torus_step(shifted, u)
+    assert k_shift.dtype == np.int64
+    assert np.array_equal(u_base, u_shift)  # bitwise
+    assert np.array_equal(k_shift, k_base + np.asarray(v, dtype=np.int64))
+    # cumulative windings: the base's plus n·v, as int64 (wrapping past 2**63)
+    n = 5
+    base = list(maps.torus_orbit(lm, u, n))
+    for (steps, us, ws), (_, us_base, ws_base) in zip(maps.torus_orbit(shifted, u, n), base, strict=True):
+        assert np.array_equal(us, us_base)
+        for k, w, w_base in zip(steps, ws, ws_base):
+            expected = [int(b) + k * v[i % 2] for i, b in enumerate(w_base.ravel())]
+            assert np.array_equal(w.ravel(), _wrapped(expected))
 
 
 def test_map_spec_round_trip():

@@ -2,6 +2,8 @@
 shape. Escaped orbits: every orbit loop raises the same error, naming the
 earliest escaped step and the first start escaped there, without a warning
 on the way. Grid runs give the same results and errors at any block size."""
+import copy
+import pickle
 import warnings
 from dataclasses import dataclass
 
@@ -145,6 +147,19 @@ def test_escape_names_step_and_start(name):
     assert err.step == 1
     assert err.start == (0.5, 0.0)
     assert str(err) == "orbit from start (0.5, 0.0) escaped at step 1"
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_escape_error_survives_pickle_and_copy(clone):
+    err = clone(IterationError(3, (0.5, 0.0)))
+    assert type(err) is IterationError
+    assert err.step == 3
+    assert err.start == (0.5, 0.0)
+    assert str(err) == "orbit from start (0.5, 0.0) escaped at step 3"
 
 
 @pytest.mark.parametrize(
