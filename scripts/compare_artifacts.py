@@ -48,6 +48,11 @@ FIXED = [
     ["entropy", "--map-json", ITERATE_LM, "--eps", "0.1", "--lengths", "2..4", "--resolution", "48"],
     ["cover", "--map", "rotation", "--alpha", "0.41421356", "--beta", "0.3", "--factors", "2x1",
      "--iters", "3000", "--resolution", "8", "--power", "2"],
+    # spanning scan in two groups of lengths (64 and 6)
+    ["entropy", "--map", "lm", "--eps", "0.2", "--lengths", "1..70", "--resolution", "32"],
+    # lower-period filter over two proper divisors, then the per-target path
+    ["periodic", "--map", "lm", "--period", "4", "--box", "1", "--seeds", "16"],
+    ["periodic", "--map", "lm", "--period", "3", "--box", "1", "--seeds", "5"],
 ]
 
 

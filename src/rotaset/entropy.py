@@ -14,7 +14,8 @@ leading steps the pair stays within ε), and a pair is within ε over n steps
 exactly when s ≥ n. The pass therefore reproduces, bit for bit, one
 independent greedy scan per (ε, n) (see `_spanning_counts`). Its working
 memory is about 128 × (2·hw + 1)² candidate pairs per chunk, hw = ⌈ε·res⌉ + 1,
-plus len(lengths) × res² coverage bits.
+plus one uint64 of per-length coverage flags per candidate; more than 64
+lengths are scanned in groups of 64.
 """
 from __future__ import annotations
 
@@ -55,12 +56,6 @@ class EntropyEstimate:
     resolution: int
     diagnostics: dict
 
-    def count_table(self) -> dict:
-        return {
-            _fmt(eps): {str(n): c for n, c in zip(self.lengths, row)}
-            for eps, row in zip(self.epsilons, self.counts)
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "epsilons": list(self.epsilons),
@@ -76,10 +71,6 @@ class EntropyEstimate:
         for eps, row in zip(self.epsilons, self.counts):
             for n, c in zip(self.lengths, row):
                 yield (eps, n, c)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def flat_distance(a, b) -> np.ndarray:
@@ -126,16 +117,6 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int) -> np.ndarray:
     return np.concatenate(run_in_blocks(fill, u0, res))
 
 
-def _length_words(flags: np.ndarray) -> np.ndarray:
-    """Pack (m, L) per-length flags into (⌈L/64⌉, m) uint64 words: flag i
-    is bit i % 64 of word i // 64."""
-    words = -(-flags.shape[1] // 64)
-    padded = np.zeros((len(flags), 64 * words), dtype=bool)
-    padded[:, : flags.shape[1]] = flags
-    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    return np.ascontiguousarray(packed.T, dtype=np.uint64)
-
-
 def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) -> tuple[int, ...]:
     """Greedy (n, ε)-spanning counts for every n in `lengths` from one scan.
 
@@ -160,7 +141,9 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
       each later block neighbour j with s(c, j) ≥ n.
 
     The counts therefore equal, bit for bit, one independent greedy scan
-    per (ε, n).
+    per (ε, n). The covered flags of a candidate are one uint64, bit i for
+    lengths[i]; more than 64 lengths are scanned 64 at a time, each
+    length's count being its own greedy scan.
 
     Separation times are built for fixed chunks of `_SCAN_CHUNK`
     candidates just before the scan reaches them. Candidates and block
@@ -168,12 +151,15 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
     only grows, so they can never become centres or gain coverage, which
     keeps isometries and local maps from testing every pair for every
     step. Memory: about `_SCAN_CHUNK` × (2·hw + 1)² pairs per chunk
-    (hw = ⌈ε·res⌉ + 1), the covered flags (len(lengths) × res² bits,
-    packed 64 lengths to a word) and a step-major copy of the table.
+    (hw = ⌈ε·res⌉ + 1), one uint64 of covered flags per candidate and a
+    step-major copy of the table.
     """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(lengths) > 64:
+        head = _spanning_counts(table, resolution, eps, lengths[:64])
+        return head + _spanning_counts(table, resolution, eps, lengths[64:])
     res = int(resolution)
     total = res * res
-    lengths = np.asarray(lengths, dtype=np.int64)
     depth = int(lengths.max())
     ox = np.ascontiguousarray(table[:, :depth, 0].T)
     oy = np.ascontiguousarray(table[:, :depth, 1].T)
@@ -182,14 +168,15 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
     # the block wraps onto itself once 2·hw + 1 > res: each neighbour once
     offs = np.unique(np.arange(-hw, hw + 1) % res)
     sep_dtype = np.min_scalar_type(depth)
-    # column s: the lengths that a pair with separation time s reaches
-    reach_by_sep = _length_words(np.arange(depth + 1)[:, None] >= lengths)
-    full = reach_by_sep[:, depth, None]
-    covered = np.zeros((len(full), total), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), np.arange(len(lengths), dtype=np.uint64))
+    # entry s: the lengths that a pair with separation time s reaches
+    reach_by_sep = ((np.arange(depth + 1)[:, None] >= lengths) * bit).sum(axis=1, dtype=np.uint64)
+    full = reach_by_sep[depth]
+    covered = np.zeros(total, dtype=np.uint64)
     counts = np.zeros(len(lengths), dtype=np.int64)
     for lo in range(0, total, _SCAN_CHUNK):
         cand = np.arange(lo, min(lo + _SCAN_CHUNK, total))
-        cand = cand[(covered[:, cand] != full).any(axis=0)]
+        cand = cand[covered[cand] != full]
         if cand.size == 0:
             continue
         rows = (cand[:, None] // res + offs) % res
@@ -205,7 +192,7 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
         near &= pj > cand[:, None]
         pair = np.flatnonzero(near)
         pc, pj = cand[pair // pj.shape[1]], pj.ravel()[pair]
-        keep = np.flatnonzero((covered[:, pj] != full).any(axis=0))
+        keep = np.flatnonzero(covered[pj] != full)
         pc, pj = pc.take(keep), pj.take(keep)
         sep = np.ones(len(pc), dtype=sep_dtype)
         alive = np.arange(len(pc))
@@ -229,19 +216,15 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
                 break
             sep[alive] = k + 1
         edge = np.flatnonzero(sep >= lengths.min())
-        pc, pj, reach = pc.take(edge), pj.take(edge), reach_by_sep[:, sep.take(edge)]
+        pc, pj, reach = pc.take(edge), pj.take(edge), reach_by_sep.take(sep.take(edge))
         bounds = np.searchsorted(pc, np.append(cand, total))
-        centres = np.zeros((len(cand), len(full)), dtype=np.uint64)
+        centres = np.zeros(len(cand), dtype=np.uint64)
         for t, c in enumerate(cand):
-            live = full[:, 0] & ~covered[:, c]
-            if not live.any():
-                continue
-            centres[t] = live
-            js = pj[bounds[t] : bounds[t + 1]]
-            for word, r, lv in zip(covered, reach[:, bounds[t] : bounds[t + 1]], live):
-                word[js] |= r & lv
-        bits = np.unpackbits(centres.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        counts += bits[:, : len(lengths)].sum(axis=0, dtype=np.int64)
+            live = full & ~covered[c]
+            if live:
+                centres[t] = live
+                covered[pj[bounds[t] : bounds[t + 1]]] |= reach[bounds[t] : bounds[t + 1]] & live
+        counts += ((centres[:, None] & bit) != 0).sum(axis=0)
     return tuple(int(x) for x in counts)
 
 

@@ -445,9 +445,12 @@ def eval_inverse(lift: TorusLift, p) -> np.ndarray:
 
 
 def project_to_torus(p) -> np.ndarray:
-    """Reduce planar points mod 1 into [0,1)²."""
+    """Reduce planar points mod 1 into [0,1)²: a coordinate a hair below an
+    integer, which p − floor(p) rounds up to 1.0, becomes 0.0."""
     pts = _as_points(p)
-    return pts - np.floor(pts)
+    u = pts - np.floor(pts)
+    u[u == 1.0] = 0.0
+    return u
 
 
 def torus_step(lift: TorusLift, u: np.ndarray):

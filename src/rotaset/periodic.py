@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ConvexPolygon, convex_hull
-from .maps import TorusLift, grid_starts, iterate
+from .maps import TorusLift, grid_starts, iterate, project_to_torus
 
 __all__ = [
     "PeriodicOrbit",
@@ -182,14 +182,6 @@ def _newton_batch(lift: TorusLift, seeds: np.ndarray, q: int, targets=None):
     return x, p, converged, singular
 
 
-def _reduce(z: np.ndarray) -> np.ndarray:
-    """z mod 1 in [0,1)²: a coordinate a hair below an integer, which
-    z − floor(z) rounds up to 1.0, becomes 0.0."""
-    u = z - np.floor(z)
-    u[u == 1.0] = 0.0
-    return u
-
-
 def _greedy_distinct(disp: np.ndarray, reps: np.ndarray, orbits: np.ndarray) -> np.ndarray:
     """Indices of the roots kept by a greedy pass in array order: keep root
     i, then mask out every later root with the same displacement whose
@@ -270,7 +262,7 @@ def find_periodic(
             continue
         runs_converged += int(conv.sum())
         seed_converged[seed_of[batch][conv]] = True
-        u, p = _reduce(roots[conv]), p[conv]
+        u, p = project_to_torus(roots[conv]), p[conv]
         ok = _residual(lift, u, q, p) <= _RESIDUAL_TOL
         found_u.append(u[ok])
         found_p.append(p[ok])
@@ -286,27 +278,24 @@ def find_periodic(
 
     # q = 1: no lower period, each root is its own orbit, and dedup left them apart and sorted
     if q > 1:
+        orbit = [u]
+        z = u
+        for _ in range(q - 1):
+            z = iterate(lift, z, 1)
+            orbit.append(project_to_torus(z))
+        orbit = np.stack(orbit)  # (q, roots, 2)
+
         # drop roots whose true period divides q properly
         lower = np.zeros(len(u), dtype=bool)
         for d in range(1, q):
             if q % d == 0:
-                z = iterate(lift, u, d)
-                k = np.round(z - u)
-                lower |= (np.max(np.abs(z - u - k), axis=-1) <= _DEDUP_TOL) & (
-                    _torus_dist_inf(_reduce(z), u) <= _DEDUP_TOL
-                )
-        u, p = u[~lower], p[~lower]
+                lower |= _torus_dist_inf(orbit[d], u) <= _DEDUP_TOL
+        u, p, orbit = u[~lower], p[~lower], orbit[:, ~lower]
 
         # collapse orbit mates to the lexicographically smallest orbit point;
         # membership is tested against the whole orbit, not the representative
         # alone — near the 0/1 wrap the lexicographic minimum of an orbit is
         # not stable under the float noise of iterating from different roots
-        orbit = [u]
-        z = u
-        for _ in range(q - 1):
-            z = iterate(lift, z, 1)
-            orbit.append(_reduce(z))
-        orbit = np.stack(orbit)  # (q, roots, 2)
         best = np.lexsort((orbit[..., 1], orbit[..., 0]), axis=0)[0]
         reps = orbit[best, np.arange(len(u))]
         mates = _greedy_distinct(p, reps, orbit)

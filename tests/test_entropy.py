@@ -248,8 +248,19 @@ def _tent_product(a, b):
         (horseshoe_disk(), 40, 0.1, (2, 5, 9)),
         (_tent_product(1, -2), 10, 0.45, (1, 2, 5)),  # 2·hw + 1 > res: the block wraps
         (Identity(), 10, 0.45, (1, 4, 200)),
+        # 90 lengths, scanned as groups of 64 and 26; counts still change at n = 69
+        (VerticalTentShear(0.02), 24, 0.2, tuple(range(1, 91))),
     ],
-    ids=["tent11", "tent2-1-gapped", "tent-22", "rotation-long", "horseshoe", "tent-wrap", "identity-wrap-long"],
+    ids=[
+        "tent11",
+        "tent2-1-gapped",
+        "tent-22",
+        "rotation-long",
+        "horseshoe",
+        "tent-wrap",
+        "identity-wrap-long",
+        "slow-shear-grouped",
+    ],
 )
 def test_spanning_counts_match_per_cell_scan(lift, resolution, eps, lengths):
     table = orbit_table(lift, resolution, max(lengths))

@@ -104,6 +104,11 @@ def test_project_to_torus():
     assert tuple(project_to_torus((1.25, -0.25))) == (0.25, 0.75)
     assert tuple(project_to_torus((0.0, 0.999))) == (0.0, 0.999)
     assert tuple(project_to_torus((-3.0, 4.0))) == (0.0, 0.0)
+    # -1e-17 - floor(-1e-17) rounds up to 1.0; the point belongs at 0.0
+    assert tuple(project_to_torus((-1e-17, 0.5))) == (0.0, 0.5)
+    assert tuple(project_to_torus((0.5, -1e-300))) == (0.5, 0.0)
+    u = project_to_torus(-np.logspace(-300, -1, 64).reshape(32, 2))
+    assert np.all((0.0 <= u) & (u < 1.0))
 
 
 def test_non_finite_input_rejected(lm):
