@@ -4,7 +4,8 @@ Runs a fixed set of argvs through ``python -m rotaset`` once per tree,
 with PYTHONPATH set to that tree's source directory, and prints every
 difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
-properties, iterate maps and an integer translate, and one round of each
+properties, iterate maps and an integer translate, cover orbits on both
+sides of the orbit engine's float/array crossover, and one round of each
 benchmark workload (perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
@@ -28,6 +29,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 DIFF_LINES = 40  # most diff lines printed per file
+MORE_THAN_FLOAT_STARTS = 11  # rotaset.maps._FLOAT_STARTS + 1
 ITERATE_LM = json.dumps({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}})
 TRANSLATE_LM = json.dumps({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [0, -3]}})
 
@@ -53,6 +55,14 @@ FIXED = [
     # lower-period filter over two proper divisors, then the per-target path
     ["periodic", "--map", "lm", "--period", "4", "--box", "1", "--seeds", "16"],
     ["periodic", "--map", "lm", "--period", "3", "--box", "1", "--seeds", "5"],
+    # cover orbits of a few starts step on Python floats; one start more
+    # than maps._FLOAT_STARTS steps on arrays
+    ["cover", "--map", "lm", "--iters", "20000", "--pgm"],
+    ["cover", "--map", "horseshoe_disk", "--iters", "2000", "--starts", "0.45,0.52", "--resolution", "8"],
+    ["cover", "--map", "lm", "--power", "3", "--factors", "2x1", "--iters", "5000", "--resolution", "8",
+     "--starts", "0.3,0.7;1.6,0.2"],
+    ["cover", "--map", "lm", "--factors", "2x1", "--iters", "3000", "--resolution", "8",
+     "--starts", ";".join(f"{0.17 * i + 0.05!r},{(0.31 * i + 0.02) % 1!r}" for i in range(MORE_THAN_FLOAT_STARTS))],
 ]
 
 

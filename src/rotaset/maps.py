@@ -2,9 +2,12 @@
 
 A lift is an immutable combinator tree evaluated on planar points. Every
 variant satisfies F(p + v) = F(p) + v for integer v, is invertible, and
-projects to a homeomorphism of the 2-torus. Evaluation is vectorized over
-numpy arrays of shape (..., 2) and is pure. Grid runs (`run_in_blocks`)
-advance their blocks of starts one after another on the calling thread.
+projects to a homeomorphism of the 2-torus. Each variant states its
+arithmetic once, on coordinates x and y, with operations that numpy arrays
+and Python floats both accept, so one declaration runs on a batch of points
+as numpy columns and on a single point as Python floats, with the same bits.
+Evaluation is pure. Grid runs (`run_in_blocks`) advance their blocks of
+starts one after another on the calling thread.
 
 Two evaluation paths are provided:
 
@@ -64,6 +67,13 @@ _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 # batch-1 covering run peaks about 2 MB higher at 4096 than at 1024.
 _ORBIT_CHUNK_POINTS = 1024
 
+# Most starts the orbit engine steps on Python floats; larger batches step
+# on numpy columns. One step of a batch took, on a 2-vCPU x86-64 VM, 0.42 µs
+# per start on floats and 5.8 µs on arrays for a translation, and 1.17 µs
+# per start and 13.4 µs for `lm` (arrays cost about the same up to a few
+# dozen starts): floats stay faster up to about 14 and 11 starts.
+_FLOAT_STARTS = 10
+
 # Starts per block of a grid run, rounded down to whole grid rows (at least
 # one): a block's per-step temporaries then stay in cache. On a 2-core
 # x86-64 VM, 16384 `lm` starts x 2000 steps took 0.65-0.79 s as one batch,
@@ -112,11 +122,51 @@ def _as_points(p) -> np.ndarray:
     return pts
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    """values as a read-only array: a lift's parameters never change."""
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+class _Ops(typing.NamedTuple):
+    """What a variant's arithmetic takes from its caller besides `+ - *`,
+    `abs`, `%` and comparisons, so that one declaration runs on numpy
+    columns (`_ARRAYS`) and on Python floats (`_FLOATS`)."""
+
+    floor: typing.Callable  # floor(t), exact to subtract from t
+    select: typing.Callable  # select(cond, a, b): a where cond holds, else b
+    reduce: typing.Callable  # reduce(x, y) -> (x - ⌊x⌋, y - ⌊y⌋, ⌊x⌋, ⌊y⌋), windings exact integers
+
+
+def _reduce_arrays(x, y):
+    kx, ky = np.floor(x), np.floor(y)
+    wx, wy = kx.astype(np.int64), ky.astype(np.int64)
+    return np.subtract(x, kx, out=kx), np.subtract(y, ky, out=ky), wx, wy
+
+
+def _reduce_floats(x, y):
+    # math.floor returns an int, and t - int subtracts the same float as
+    # t - np.floor(t); it raises on a NaN or an infinity, which the orbit
+    # engine catches
+    kx, ky = math.floor(x), math.floor(y)
+    return x - kx, y - ky, kx, ky
+
+
+_ARRAYS = _Ops(np.floor, np.where, _reduce_arrays)
+_FLOATS = _Ops(math.floor, lambda cond, a, b: a if cond else b, _reduce_floats)
+
+
+def _columns(pts: np.ndarray):
+    """The x and y columns of points of shape (..., 2), as 1-d views."""
+    flat = pts.reshape(-1, 2)
+    return flat[:, 0], flat[:, 1]
+
+
+def _points(x, y, shape) -> np.ndarray:
+    """Columns x and y as points of shape `shape`: a view of one (2, n)
+    array, whose columns the next step reads without a stride."""
+    return np.array((x, y)).T.reshape(shape)
+
+
+def _tent(t, floor):
+    s = t - floor(t)  # fresh: the in-place steps below leave t as it is
+    s *= 2.0
+    s -= 1.0
+    return 1.0 - abs(s)
 
 
 def tent(t):
@@ -125,25 +175,20 @@ def tent(t):
     Exact in floating point at dyadic arguments, which keeps the
     distinguished fixed points of the tent-shear maps exactly computable.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.floor(t, out=np.empty(t.shape))  # one scratch array, updated in place
-    np.subtract(t, s, out=s)
-    s *= 2.0
-    s -= 1.0
-    np.abs(s, out=s)
-    return np.subtract(1.0, s, out=s)[()]  # a scalar for a scalar t
+    return _tent(np.asarray(t, dtype=float), np.floor)[()]  # a scalar for a scalar t
 
 
-def _param(name: str, value, pair: bool = False, integral: bool = False):
+def _param(name: str, value, pair: bool = False, integral: bool = False, winding: bool = False):
     """A spec parameter, checked: a finite number that is not a bool, or
     with `pair` a list or tuple of exactly two, returned as a tuple. With
-    `integral` each number must equal an int (2.0 means 2) of magnitude
-    under 2⁶³, so that it fits an int64 winding, and comes back as that int;
-    else numbers come back as given. Errors name the value."""
+    `winding` or `integral` each number must be of magnitude under 2⁶³, so
+    that a step by it has an int64 winding; with `integral` it must also
+    equal an int (2.0 means 2), and comes back as that int. Else numbers
+    come back as given. Errors name the value."""
     if pair:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ValueError(f"{name} must be a pair of two numbers, got {value!r}")
-        return tuple(_param(name, x, integral=integral) for x in value)
+        return tuple(_param(name, x, integral=integral, winding=winding) for x in value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
@@ -152,6 +197,8 @@ def _param(name: str, value, pair: bool = False, integral: bool = False):
         if value != int(value) or not abs(value) < 2**63:
             raise ValueError(f"{name} must be an integer of magnitude under 2**63, got {value!r}")
         return int(value)
+    if winding and not abs(value) < 2**63:
+        raise ValueError(f"{name} must be of magnitude under 2**63, got {value!r}")
     return value
 
 
@@ -188,29 +235,26 @@ class TorusLift:
         if spec is not None:
             _builtin(spec)(cls)
 
-    def _apply(self, pts: np.ndarray) -> np.ndarray:
-        """The lift at pts as a new array, never pts itself or a view of it:
-        a torus step reduces it in place."""
+    def _apply(self, x, y, op: _Ops):
+        """The lift at (x, y) as a pair (x', y'), from `+ - *`, `abs`, `%`,
+        comparisons and the operations in `op`: the same code runs on numpy
+        columns and on Python floats. It must not change x or y in place."""
         raise NotImplementedError
 
-    def _apply_inv(self, pts: np.ndarray) -> np.ndarray:
+    def _apply_inv(self, x, y, op: _Ops):
         raise NotImplementedError
 
-    def _step(self, u: np.ndarray):
-        """torus_step for a leaf: apply, floor, then cast the winding."""
-        z = self._apply(u)  # a new array: _apply never returns its input
-        k = np.floor(z)
-        z -= k
-        return z, k.astype(np.int64)
+    def _step(self, x, y, op: _Ops):
+        """One torus step from (x, y) in [0,1)²: (x', y', winding x, winding y)."""
+        return op.reduce(*self._apply(x, y, op))
 
 
 @dataclass(frozen=True)
 class Identity(TorusLift, spec="identity"):
-    def _apply(self, pts):
-        return pts.copy()
+    def _apply(self, x, y, op):
+        return x, y
 
-    def _apply_inv(self, pts):
-        return pts.copy()
+    _apply_inv = _apply
 
 
 @dataclass(frozen=True)
@@ -218,52 +262,54 @@ class Translation(TorusLift, spec="translation"):
     v: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(float(c) for c in _param("v", self.v, pair=True)))
-        object.__setattr__(self, "_shift", _frozen_array(self.v, float))
+        object.__setattr__(self, "v", tuple(float(c) for c in _param("v", self.v, pair=True, winding=True)))
 
-    def _apply(self, pts):
-        return pts + self._shift
+    def _apply(self, x, y, op):
+        vx, vy = self.v
+        return x + vx, y + vy
 
-    def _apply_inv(self, pts):
-        return pts - self._shift
+    def _apply_inv(self, x, y, op):
+        vx, vy = self.v
+        return x - vx, y - vy
 
 
 @dataclass(frozen=True)
 class _TentShear(TorusLift):
-    """Adds amplitude·tent(other coordinate) to coordinate `_moved`."""
+    """Adds amplitude·tent(other coordinate) to one coordinate (`_shear`)."""
 
     amplitude: float = 1.0
 
     def __post_init__(self):
         # stored as given: map_label prints a JSON int amplitude as an int
-        _param("amplitude", self.amplitude)
+        _param("amplitude", self.amplitude, winding=True)
 
-    def _apply(self, pts):
-        return self._shear(pts, self.amplitude)
+    def _apply(self, x, y, op):
+        return self._shear(x, y, self.amplitude, op)
 
-    def _apply_inv(self, pts):
-        return self._shear(pts, -self.amplitude)
-
-    def _shear(self, pts, a):
-        out = pts.copy()
-        term = tent(pts[..., 1 - self._moved])
-        term *= a
-        out[..., self._moved] += term
-        return out
+    def _apply_inv(self, x, y, op):
+        return self._shear(x, y, -self.amplitude, op)
 
 
 @dataclass(frozen=True)
 class VerticalTentShear(_TentShear, spec="vertical_tent_shear"):
     """(x, y) -> (x, y + a·tent(x)); a true shear, invertible for any a."""
 
-    _moved = 1
+    def _shear(self, x, y, a, op):
+        d = _tent(x, op.floor)
+        d *= a
+        d += y
+        return x, d
 
 
 @dataclass(frozen=True)
 class HorizontalTentShear(_TentShear, spec="horizontal_tent_shear"):
     """(x, y) -> (x + a·tent(y), y)."""
 
-    _moved = 0
+    def _shear(self, x, y, a, op):
+        d = _tent(y, op.floor)
+        d *= a
+        d += x
+        return d, y
 
 
 @dataclass(frozen=True)
@@ -311,41 +357,38 @@ class LocalizedShear(TorusLift, spec="localized_shear"):
             )
         return max(1, math.ceil(need))
 
-    def _bump(self, x, y):
+    def _bump(self, x, y, op):
         cx, cy = self.center
         dx = (x - cx + 0.5) % 1.0 - 0.5
         dy = (y - cy + 0.5) % 1.0 - 0.5
         s2 = (dx * dx + dy * dy) / (self.radius * self.radius)
-        inside = s2 < 1.0
-        t = 1.0 - np.where(inside, s2, 1.0)
+        t = 1.0 - op.select(s2 < 1.0, s2, 1.0)
         return t * t  # exactly 0.0 outside the disk
 
-    def _apply(self, pts):
-        out = pts.copy()
-        x = out[..., 0]
-        y = out[..., 1]
-        moved = y if self.axis == "vertical" else x  # a view into out
+    def _apply(self, x, y, op):
         a = self.amplitude / self.substeps
         for _ in range(self.substeps):
-            moved += a * self._bump(x, y)
-        return out
+            d = a * self._bump(x, y, op)
+            if self.axis == "vertical":
+                y = y + d
+            else:
+                x = x + d
+        return x, y
 
-    def _apply_inv(self, pts):
-        out = pts.copy()
-        x = out[..., 0]
-        y = out[..., 1]
-        moved = y if self.axis == "vertical" else x  # a view into out
+    def _apply_inv(self, x, y, op):
         a = self.amplitude / self.substeps
+        vertical = self.axis == "vertical"
         for _ in range(self.substeps):
-            # solve m + a·bump = target for m by fixed-point iteration
-            target = moved.copy()
+            # solve m + a·bump(x, y) = target for the moved coordinate m by
+            # fixed-point iteration
+            target = y if vertical else x
             for _ in range(80):
-                m_new = target - a * self._bump(x, y)
-                converged = np.max(np.abs(m_new - moved), initial=0.0) < 1e-16
-                moved[...] = m_new
-                if converged:
+                m = target - a * self._bump(x, y, op)
+                change = abs(m - (y if vertical else x))
+                x, y = (x, m) if vertical else (m, y)
+                if np.max(change, initial=0.0) < 1e-16:
                     break
-        return out
+        return x, y
 
 
 @dataclass(frozen=True)
@@ -353,23 +396,24 @@ class _Chain(TorusLift):
     """Applies the lifts `_links` (an iterable) in order; a torus step sums
     their exact windings."""
 
-    def _apply(self, pts):
+    def _apply(self, x, y, op):
         for f in self._links:
-            pts = f._apply(pts)
-        return pts
+            x, y = f._apply(x, y, op)
+        return x, y
 
-    def _apply_inv(self, pts):
+    def _apply_inv(self, x, y, op):
         for f in reversed(tuple(self._links)):
-            pts = f._apply_inv(pts)
-        return pts
+            x, y = f._apply_inv(x, y, op)
+        return x, y
 
-    def _step(self, u):
+    def _step(self, x, y, op):
         links = iter(self._links)
-        u, w = next(links)._step(u)  # a fresh winding array, summed in place
+        x, y, wx, wy = next(links)._step(x, y, op)  # fresh winding arrays, summed in place
         for f in links:
-            u, dw = f._step(u)
-            w += dw
-        return u, w
+            x, y, kx, ky = f._step(x, y, op)
+            wx += kx
+            wy += ky
+        return x, y, wx, wy
 
 
 @dataclass(frozen=True)
@@ -412,23 +456,22 @@ class IntegerTranslate(TorusLift, spec="integer_translate"):
 
     def __post_init__(self):
         object.__setattr__(self, "v", _param("v", self.v, pair=True, integral=True))
-        object.__setattr__(self, "_shift", _frozen_array(self.v, float))
 
-    def _apply(self, pts):
-        return self.base._apply(pts) + self._shift
+    def _apply(self, x, y, op):
+        x, y = self.base._apply(x, y, op)
+        vx, vy = self.v
+        return x + vx, y + vy
 
-    def _apply_inv(self, pts):
-        return self.base._apply_inv(pts - self._shift)
+    def _apply_inv(self, x, y, op):
+        vx, vy = self.v
+        return self.base._apply_inv(x - vx, y - vy, op)
 
-    def _step(self, u):
-        u2, w = self.base._step(u)
-        # one scalar add per nonzero coordinate: adding a (2,) row to an
-        # (n, 2) array runs n inner loops of length 2, 23.6 µs at 4096
-        # points against 6.2 µs for the two column adds (2-core x86-64 VM)
-        for i, c in enumerate(self.v):
-            if c:
-                w[..., i] += c
-        return u2, w
+    def _step(self, x, y, op):
+        x, y, wx, wy = self.base._step(x, y, op)  # fresh winding arrays, added to in place
+        vx, vy = self.v
+        wx += vx
+        wy += vy
+        return x, y, wx, wy
 
 
 # --- public evaluation -----------------------------------------------------
@@ -436,12 +479,12 @@ class IntegerTranslate(TorusLift, spec="integer_translate"):
 def eval_lift(lift: TorusLift, p) -> np.ndarray:
     """Evaluate the planar lift at p (shape (...,2)); rejects non-finite input."""
     pts = _as_points(p)
-    return lift._apply(pts)
+    return _points(*lift._apply(*_columns(pts), _ARRAYS), pts.shape)
 
 
 def eval_inverse(lift: TorusLift, p) -> np.ndarray:
     pts = _as_points(p)
-    return lift._apply_inv(pts)
+    return _points(*lift._apply_inv(*_columns(pts), _ARRAYS), pts.shape)
 
 
 def project_to_torus(p) -> np.ndarray:
@@ -460,9 +503,57 @@ def torus_step(lift: TorusLift, u: np.ndarray):
     steps (Iterate, Composition) override `TorusLift._step`, so their windings
     are exact integer arithmetic on top of the base map's windings and the
     torus point stream is bit-identical to the base map's where the
-    projected dynamics coincide.
+    projected dynamics coincide. This is the numpy path, and the reference
+    that the orbit engine's Python-float path matches bit for bit.
     """
-    return lift._step(u)
+    x, y, wx, wy = lift._step(*_columns(u), _ARRAYS)
+    return _points(x, y, u.shape), _points(wx, wy, u.shape)
+
+
+def _array_chunk(lift: TorusLift, u: np.ndarray, w, steps: range):
+    """Points and cumulative windings after `steps` from u, whose cumulative
+    winding is w (0 before step 1), as arrays of shape (steps, ..., 2): one
+    torus_step per step."""
+    if len(steps) == 1:
+        u, dw = torus_step(lift, u)
+        # not the several-step path: a cumulative sum over a (1, n, 2)
+        # array runs one column at a time, 60 µs at 4096 points
+        return u[None], np.add(dw, w, out=dw)[None]  # dw is fresh: no allocation
+    us, dws = [], []
+    for _ in steps:
+        u, dw = torus_step(lift, u)
+        us.append(u)
+        dws.append(dw)
+    ws = np.cumsum(dws, axis=0)  # exact integers: the same as a sum per step
+    ws += w
+    return np.stack(us), ws
+
+
+def _float_chunk(lift: TorusLift, u: np.ndarray, w, steps: range):
+    """`_array_chunk`'s arrays, the same bits, from each start stepped on
+    Python floats. A chunk whose floats raise, at a NaN or an infinity or
+    at a step winding past int64, runs on arrays instead."""
+    step = lift._step
+    try:
+        per_start = []
+        for x, y in u.reshape(-1, 2).tolist():
+            rows = []
+            for _ in steps:
+                rows.append(r := step(x, y, _FLOATS))
+                x, y = r[0], r[1]
+            per_start.append(rows)
+        rows = [r for at_step in zip(*per_start) for r in at_step]  # step-major, as arrays
+        x, y, kx, ky = zip(*rows)
+        us = np.empty((len(x), 2))
+        us[:, 0], us[:, 1] = x, y
+        dws = np.empty(us.shape, dtype=np.int64)
+        dws[:, 0], dws[:, 1] = kx, ky  # OverflowError past int64
+    except (ArithmeticError, ValueError):
+        return _array_chunk(lift, u, w, steps)
+    shape = (len(steps),) + u.shape
+    ws = np.cumsum(dws.reshape(shape), axis=0)
+    ws += w
+    return us.reshape(shape), ws
 
 
 def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
@@ -471,37 +562,25 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
     Yields chunks (steps, us, ws) of about `_ORBIT_CHUNK_POINTS`
     point-steps: us[t] and ws[t] are the torus points and the cumulative
     int64 windings after step steps[t], as arrays of shape (steps, ..., 2).
-    A chunk of several steps stacks its points once and sums its windings
-    in one cumulative sum (exact integers, so the same as a sum per step);
-    a chunk of one step, any batch of more than half `_ORBIT_CHUNK_POINTS`
-    points, yields views of the step's own arrays. An escape raises the
-    error naming the earliest escaped step and, within it, the first start
-    in input order, as given in `starts` (the caller's points; default u0).
+    Batches of at most `_FLOAT_STARTS` starts step on Python floats, larger
+    ones on numpy arrays (`torus_step`); both give the same bits. On
+    arrays, a chunk of one step, any batch of more than half
+    `_ORBIT_CHUNK_POINTS` points, yields views of the step's own arrays. An
+    escape raises the error naming the earliest escaped step and, within
+    it, the first start in input order, as given in `starts` (the caller's
+    points; default u0).
     """
-    span = max(1, _ORBIT_CHUNK_POINTS // max(1, u0.size // 2))
-    u = u0
-    w = np.zeros(u0.shape, dtype=np.int64)
+    points = u0.size // 2
+    span = max(1, _ORBIT_CHUNK_POINTS // max(1, points))
+    chunk = _float_chunk if 0 < points <= _FLOAT_STARTS else _array_chunk
+    u, w = u0, 0  # the cumulative winding before step 1
     for first in range(1, n + 1, span):
         steps = range(first, min(first + span, n + 1))
         # escaped points have NaN windings; their cast must not warn
         with np.errstate(invalid="ignore"):
-            if len(steps) == 1:
-                u, dw = torus_step(lift, u)
-                # not the several-step path: a cumulative sum over a (1, n, 2)
-                # array runs one column at a time, 60 µs at 4096 points
-                us, ws = u[None], np.add(dw, w, out=dw)[None]  # dw is fresh: no allocation
-                finite = np.isfinite(u).all()
-            else:
-                us, dws = [], []
-                for _ in steps:
-                    u, dw = torus_step(lift, u)
-                    us.append(u)
-                    dws.append(dw)
-                us, ws = np.stack(us), np.cumsum(dws, axis=0)
-                ws += w
-                finite = np.isfinite(us).all()
-        w = ws[-1]
-        if not finite:
+            us, ws = chunk(lift, u, w, steps)
+        u, w = us[-1], ws[-1]
+        if not np.isfinite(us).all():
             t, i = np.argwhere(~np.isfinite(us).all(axis=-1).reshape(len(us), -1))[0]
             start = np.reshape(u0 if starts is None else starts, (-1, 2))[i]
             raise IterationError(steps[t], tuple(float(x) for x in start))

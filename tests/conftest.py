@@ -33,8 +33,9 @@ class EscapesRightHalf(TorusLift):
     """Identity on x < 1/2, NaN on x ≥ 1/2: every orbit started there
     escapes at step 1, and the first such grid start is (0.5, 0.0)."""
 
-    def _apply(self, pts):
-        return np.where(pts[..., :1] >= 0.5, np.nan, pts)
+    def _apply(self, x, y, op):
+        escaped = x >= 0.5
+        return op.select(escaped, np.nan, x), op.select(escaped, np.nan, y)
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,9 @@ class EscapesAfterShift(TorusLift):
     step 2. On a 32-row grid, the first start to escape, (0.25, 0.0),
     escapes only at step 2."""
 
-    def _apply(self, pts):
-        x = pts[..., :1]
-        return np.where(x >= 0.5, np.nan, np.where(x >= 0.25, pts + (0.25, 0.0), pts))
+    def _apply(self, x, y, op):
+        escaped = x >= 0.5
+        return op.select(escaped, np.nan, op.select(x >= 0.25, x + 0.25, x)), op.select(escaped, np.nan, y)
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,9 @@ class EscapesInALaterBlockFirst(TorusLift):
     escapes only at step 2, and the earliest escape is row 64's first
     start (0.8, 0.0), in a later block."""
 
-    def _apply(self, pts):
-        x = pts[..., :1]
-        return np.where(x >= 0.8, np.nan, np.where(x < 0.1, pts + (0.8, 0.0), pts))
+    def _apply(self, x, y, op):
+        escaped = x >= 0.8
+        return op.select(escaped, np.nan, op.select(x < 0.1, x + 0.8, x)), op.select(escaped, np.nan, y)
 
 
 def cli_env():

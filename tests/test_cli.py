@@ -104,6 +104,22 @@ def test_localized_shear_substep_cap_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, value",
+    [
+        (["--map", "rotation", "--alpha", "1e300"], "1e+300"),
+        (["--map-json", '{"map": "translation", "params": {"v": [0.5, -9223372036854775808]}}'], "-9223372036854775808"),
+        (["--map-json", '{"map": "horizontal_tent_shear", "params": {"amplitude": 9.3e18}}'], "9.3e+18"),
+    ],
+    ids=["rotation-1e300", "translation-minus-2**63", "tent-amplitude-9.3e18"],
+)
+def test_step_winding_past_int64_exits_2(tmp_path, args, value):
+    r = run_cli(["rotset", *args, "--grid", "4", "--horizons", "1,2"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert f"must be of magnitude under 2**63, got {value}" in r.stderr
+    assert not (tmp_path / "rotset.json").exists()
+
+
+@pytest.mark.parametrize(
     "params",
     [
         '{"base": {"map": "lm"}, "v": [1e20, 0]}',

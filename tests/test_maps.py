@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +295,9 @@ def test_iterate_requires_positive_k():
 def test_integral_bounds_are_inclusive_of_the_largest_steps():
     assert Iterate(Identity(), 10_000).k == 10_000
     assert IntegerTranslate(Identity(), (2**63 - 1, -(2**63 - 1))).v == (2**63 - 1, -(2**63 - 1))
+    largest = math.nextafter(2.0**63, 0.0)  # the largest float under 2**63
+    assert Translation((largest, -largest)).v == (largest, -largest)
+    assert HorizontalTentShear(-largest).amplitude == -largest
 
 
 _LM_SPEC = (
@@ -370,11 +374,12 @@ def test_declared_variant_needs_no_registry_edit():
             base: TorusLift
             t: float = 0.25
 
-            def _apply(self, pts):
-                return self.base._apply(pts) + self.t
+            def _apply(self, x, y, op):
+                x, y = self.base._apply(x, y, op)
+                return x + self.t, y + self.t
 
-            def _apply_inv(self, pts):
-                return self.base._apply_inv(pts - self.t)
+            def _apply_inv(self, x, y, op):
+                return self.base._apply_inv(x - self.t, y - self.t, op)
 
         spec = {"map": "test_shift_after", "params": {"base": {"map": "lm"}}}
         lift = from_map_spec(spec)
@@ -435,6 +440,11 @@ def test_map_defaults_come_from_declarations():
         ({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 10_001}}, "iterate count"),
         ({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [1e20, 0]}}, "under 2\\*\\*63"),
         ({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [0, -(2**63)]}}, "under 2\\*\\*63"),
+        # a step by these would have a winding past int64
+        ({"map": "translation", "params": {"v": [1e300, 0.0]}}, "v must be of magnitude under 2\\*\\*63"),
+        ({"map": "rotation", "params": {"beta": -(2**63)}}, "v must be of magnitude under 2\\*\\*63"),
+        ({"map": "vertical_tent_shear", "params": {"amplitude": 2.0**63}}, "amplitude must be of magnitude"),
+        ({"map": "horizontal_tent_shear", "params": {"amplitude": -1e19}}, "amplitude must be of magnitude"),
     ],
 )
 def test_bad_spec_parameters_are_value_errors(spec, message):
