@@ -4,9 +4,10 @@ Runs a fixed set of argvs through ``python -m rotaset`` once per tree,
 with PYTHONPATH set to that tree's source directory, and prints every
 difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
-properties, iterate maps and an integer translate, cover orbits on both
-sides of the orbit engine's float/array crossover, and one round of each
-benchmark workload (perfbench/workloads.py, seed 1).
+properties, iterate maps and an integer translate, rotset grids that are
+walked and stepped, cover orbits on both sides of the orbit engine's
+float/array crossover, and one round of each benchmark workload
+(perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
 
@@ -55,6 +56,11 @@ FIXED = [
     # lower-period filter over two proper divisors, then the per-target path
     ["periodic", "--map", "lm", "--period", "4", "--box", "1", "--seeds", "16"],
     ["periodic", "--map", "lm", "--period", "3", "--box", "1", "--seeds", "5"],
+    # a closed grid, walked by index doubling; a grid that is not closed,
+    # stepped; the identity, which fixes every start
+    ["rotset", "--map", "lm", "--csv", "--svg"],
+    ["rotset", "--map", "lm", "--grid", "31", "--horizons", "100,500"],
+    ["rotset", "--map", "identity", "--grid", "16"],
     # cover orbits of a few starts step on Python floats; one start more
     # than maps._FLOAT_STARTS steps on arrays
     ["cover", "--map", "lm", "--iters", "20000", "--pgm"],

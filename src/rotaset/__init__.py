@@ -72,6 +72,7 @@ from .periodic import (
 )
 from .rotation import (
     RotationSample,
+    RotationSamples,
     RotationSetEstimate,
     check_iterate_scaling,
     check_translation_equivariance,

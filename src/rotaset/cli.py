@@ -187,16 +187,13 @@ def _cmd_rotset(args) -> int:
         serialize.write_csv(
             out / "rotset_samples.csv",
             ("start_x", "start_y", "avg_x", "avg_y"),
-            (
-                (s.start[0], s.start[1], s.displacement_average[0], s.displacement_average[1])
-                for s in est.samples
-            ),
+            est.samples.rows(),
         )
     if args.svg:
         serialize.write_hull_svg(
             out / "rotset.svg",
             est.hull.vertices,
-            samples=[s.displacement_average for s in est.samples],
+            samples=est.samples.averages,
             per_horizon=[h.vertices for h in est.per_horizon_hulls[:-1]],
         )
     print(

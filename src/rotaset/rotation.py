@@ -11,6 +11,7 @@ decorrelates after a few dozen steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,21 @@ from .geometry import (
     hausdorff_distance,
     polygon_area,
 )
-from .maps import Iterate, IntegerTranslate, TorusLift, grid_starts, map_label, run_in_blocks, torus_orbit
+from .maps import (
+    Iterate,
+    IntegerTranslate,
+    TorusLift,
+    grid_starts,
+    map_label,
+    run_in_blocks,
+    torus_orbit,
+    walk_closed_grid,
+)
 from .maps import torus_step  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "RotationSample",
+    "RotationSamples",
     "RotationSetEstimate",
     "rotation_vector",
     "estimate_rotation_set",
@@ -48,12 +59,53 @@ class RotationSample:
     displacement_average: tuple[float, float]
 
 
+class RotationSamples(Sequence):
+    """An estimate's samples at its final `horizon`, read from the arrays
+    `starts` and `averages` (shape (n, 2), read-only): a sample object is
+    built only when it is read, and a slice is a tuple of them. Two are
+    equal when their horizons and all their floats are."""
+
+    def __init__(self, starts: np.ndarray, averages: np.ndarray, horizon: int):
+        self.starts, self.averages, self.horizon = starts, averages, horizon
+        starts.flags.writeable = averages.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._sample(self.starts[i].tolist(), self.averages[i].tolist())
+
+    def __iter__(self):
+        return map(self._sample, self.starts.tolist(), self.averages.tolist())
+
+    def _sample(self, start, average) -> RotationSample:
+        return RotationSample(start=tuple(start), horizon=self.horizon, displacement_average=tuple(average))
+
+    def rows(self) -> list:
+        """[start x, start y, average x, average y] per sample."""
+        return np.hstack((self.starts, self.averages)).tolist()
+
+    def __eq__(self, other):
+        if not isinstance(other, RotationSamples):
+            return NotImplemented
+        return (
+            self.horizon == other.horizon
+            and np.array_equal(self.starts, other.starts)
+            and np.array_equal(self.averages, other.averages)
+        )
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RotationSetEstimate:
     map_id: str
     grid: tuple[int, int]
     horizons: tuple[int, ...]
-    samples: tuple[RotationSample, ...]  # at the final horizon
+    samples: RotationSamples  # at the final horizon
     hull: ConvexPolygon
     per_horizon_hulls: tuple[ConvexPolygon, ...]
     hull_distances: tuple[float, ...]  # consecutive Hausdorff distances
@@ -73,10 +125,7 @@ class RotationSetEstimate:
             "stability": self.stability,
         }
         if include_samples:
-            out["samples"] = [
-                [s.start[0], s.start[1], s.displacement_average[0], s.displacement_average[1]]
-                for s in self.samples
-            ]
+            out["samples"] = self.samples.rows()
         return out
 
 
@@ -97,13 +146,11 @@ def rotation_vector(lift: TorusLift, p, n: int) -> np.ndarray:
     return (us[-1] - u0 + ws[-1]) / n
 
 
-def _orbit_averages(lift: TorusLift, u0: np.ndarray, horizons) -> list[np.ndarray]:
-    """Displacement averages of a batch of starts at each horizon checkpoint."""
-    out = []
+def _orbit_averages(chunks, u0: np.ndarray, horizons) -> list[np.ndarray]:
+    """Displacement averages of a batch of starts at each horizon, from the
+    orbit chunks (steps, us, ws) of `torus_orbit` or `walk_closed_grid`."""
     targets = set(horizons)
-    for steps, us, ws in torus_orbit(lift, u0, max(horizons)):
-        out += [(u - u0 + w) / k for k, u, w in zip(steps, us, ws) if k in targets]
-    return out
+    return [(u - u0 + w) / k for steps, us, ws in chunks for k, u, w in zip(steps, us, ws) if k in targets]
 
 
 def estimate_rotation_set(
@@ -120,11 +167,17 @@ def estimate_rotation_set(
     tent-shear maps; offset=0.5 probes only cell-center (generic) orbits
     and typically yields a strictly smaller hull at any finite horizon.
 
-    The starts advance in blocks of whole grid rows, one after another
-    (`run_in_blocks`). The result is deterministic for fixed inputs and
-    independent of the blocks: samples are indexed by grid position and
-    all per-sample arithmetic is elementwise, so partitioning cannot change
-    bits. A non-finite `offset` raises ValueError before any step.
+    When one step maps the grid bit for bit onto itself, as `lm` and the
+    other tent shears of integer amplitude map the offset-0 grid of a power
+    of two, the orbits are walked on grid indices by doubling
+    (`walk_closed_grid`): a step is a pure function of a point's bits and
+    the int64 windings add associatively, so the walk gives the stepped
+    bits in O(log horizon) array passes. Any other grid advances in blocks
+    of whole grid rows, one after another (`run_in_blocks`). The result is
+    deterministic for fixed inputs and independent of the blocks: samples
+    are indexed by grid position and all per-sample arithmetic is
+    elementwise, so partitioning cannot change bits. A non-finite `offset`
+    raises ValueError before any step.
     """
     rows, cols = int(grid[0]), int(grid[1])
     if rows < 1 or cols < 1:
@@ -138,24 +191,23 @@ def estimate_rotation_set(
         raise ValueError("horizons must be positive")
 
     u0 = grid_starts(rows, cols, offset)
-    parts = run_in_blocks(lambda b: _orbit_averages(lift, b, horizons), u0, cols)
-    avgs = [np.concatenate(per_block) for per_block in zip(*parts)]
+    walk = walk_closed_grid(lift, rows, cols, offset, horizons)
+    if walk is not None:
+        avgs = _orbit_averages([walk], u0, horizons)
+    else:
+        parts = run_in_blocks(lambda b: _orbit_averages(torus_orbit(lift, b, horizons[-1]), b, horizons), u0, cols)
+        avgs = [np.concatenate(per_block) for per_block in zip(*parts)]
 
     per_hulls = tuple(convex_hull(a) for a in avgs)
     dists = tuple(
         hausdorff_distance(per_hulls[i], per_hulls[i + 1]) for i in range(len(per_hulls) - 1)
     )
     stability = dists[-1] if dists else 0.0
-    final = avgs[-1]
-    samples = tuple(
-        RotationSample(start=(x, y), horizon=horizons[-1], displacement_average=(ax, ay))
-        for (x, y), (ax, ay) in zip(u0.tolist(), final.tolist())
-    )
     return RotationSetEstimate(
         map_id=map_label(lift),
         grid=(rows, cols),
         horizons=horizons,
-        samples=samples,
+        samples=RotationSamples(u0, avgs[-1], horizons[-1]),
         hull=per_hulls[-1],
         per_horizon_hulls=per_hulls,
         hull_distances=dists,

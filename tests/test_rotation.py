@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,20 @@ from rotaset import (
     IntegerTranslate,
     Iterate,
     IterationError,
+    RotationSample,
+    TorusLift,
     Translation,
     check_iterate_scaling,
     check_translation_equivariance,
     estimate_rotation_set,
     hausdorff_distance,
+    horseshoe_disk,
     interior_nonempty,
+    lm_map,
     maps,
     polygon_area,
     polygon_diameter,
+    rotation,
     rotation_vector,
 )
 from rotaset.serialize import canonical_json
@@ -198,3 +205,122 @@ def test_infinite_area_threshold_is_a_value_error(irrational_translation):
     est = estimate_rotation_set(irrational_translation, (4, 4), (10, 20))
     with pytest.raises(ValueError, match="area threshold must be positive and finite"):
         interior_nonempty(est, float("inf"))
+
+
+def test_samples_read_as_a_sequence(lm):
+    est = estimate_rotation_set(lm, (4, 8), (10, 20), offset=0.37)
+    samples = tuple(est.samples)
+    assert len(est.samples) == len(samples) == 32
+    assert est.samples[-1] == samples[-1] and est.samples[3] == samples[3]
+    assert est.samples[2:9:3] == samples[2:9:3]
+    assert samples[5] == RotationSample(
+        start=tuple(est.samples.starts[5].tolist()),
+        horizon=20,
+        displacement_average=tuple(est.samples.averages[5].tolist()),
+    )
+    with pytest.raises(IndexError):
+        est.samples[32]
+    assert est.to_json_dict(include_samples=True)["samples"] == [[*s.start, *s.displacement_average] for s in samples]
+    assert hash(est) == hash(estimate_rotation_set(lm, (4, 8), (10, 20), offset=0.37))
+    assert est.samples != estimate_rotation_set(lm, (4, 8), (10, 30), offset=0.37).samples
+    assert est.samples != estimate_rotation_set(lm, (4, 8), (10, 20), offset=0.38).samples
+
+
+# --- closed grids: walked by index doubling, the stepped bits ---------------
+
+@dataclass(frozen=True)
+class ShiftsAllButOne(TorusLift):
+    """Shift by (1/16, 0), which maps the 16² grid onto itself, except at
+    the start (0.5, 0.25), which lands 2⁻²⁰ off the grid."""
+
+    def _apply(self, x, y, op):
+        off = (x == 0.5) & (y == 0.25)
+        return x + op.select(off, 1 / 16 + 2**-20, 1 / 16), y
+
+
+WALK_HORIZONS = (1, 7, 100, 777, 2000)
+CLOSED_LIFTS = {
+    "lm": lm_map(),
+    "integer-translate": IntegerTranslate(lm_map(), (2, -1)),
+    "iterate": Iterate(lm_map(), 2),
+    "identity": Identity(),
+}
+
+
+def _walks(monkeypatch):
+    """Replace the walk that estimate_rotation_set calls by one that also
+    records whether each grid was walked."""
+    walked = []
+
+    def recorded(*args):
+        walk = maps.walk_closed_grid(*args)
+        walked.append(walk is not None)
+        return walk
+
+    monkeypatch.setattr(rotation, "walk_closed_grid", recorded)
+    return walked
+
+
+def _stepped(monkeypatch, *args, **kwargs):
+    """estimate_rotation_set with the walk turned off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(rotation, "walk_closed_grid", lambda *a: None)
+        return estimate_rotation_set(*args, **kwargs)
+
+
+def _same_bits(a, b):
+    assert a == b
+    assert a.samples.averages.tobytes() == b.samples.averages.tobytes()
+    assert canonical_json(a.to_json_dict(include_samples=True)) == canonical_json(b.to_json_dict(include_samples=True))
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+@pytest.mark.parametrize("name", list(CLOSED_LIFTS))
+def test_closed_grid_walk_gives_the_stepped_bits(monkeypatch, name, n):
+    lift = CLOSED_LIFTS[name]
+    walked = _walks(monkeypatch)
+    est = estimate_rotation_set(lift, (n, n), WALK_HORIZONS)
+    assert walked == [True]
+    _same_bits(est, _stepped(monkeypatch, lift, (n, n), WALK_HORIZONS))
+
+
+def test_closed_grid_walk_wraps_windings_as_the_steps_do():
+    # each step adds about 2⁶² to the x winding: by step 2 it wraps past
+    # int64, as the stepped cumulative sums do
+    lift = IntegerTranslate(lm_map(), (2**62, -(2**62) + 1))
+    steps = (1, 2, 3, 100, 513)
+    walk_steps, us, ws = maps.walk_closed_grid(lift, 16, 8, 0.0, steps)
+    assert walk_steps == steps
+    chunks = list(maps.torus_orbit(lift, maps.grid_starts(16, 8, 0.0), max(steps)))
+    stepped = {k: (u, w) for ks, su, sw in chunks for k, u, w in zip(ks, su, sw)}
+    for k, u, w in zip(steps, us, ws):
+        assert u.tobytes() == np.ascontiguousarray(stepped[k][0]).tobytes()
+        assert w.dtype == np.int64 and np.array_equal(w, stepped[k][1])
+    assert (ws[1][:, 0] < 0).any()  # wrapped
+    with pytest.MonkeyPatch.context() as mp:
+        _same_bits(estimate_rotation_set(lift, (16, 8), steps), _stepped(mp, lift, (16, 8), steps))
+
+
+@pytest.mark.parametrize(
+    "lift, grid, offset, steps",
+    [
+        pytest.param(lm_map(), (32, 32), 0.37, [32], id="lm-offset"),
+        pytest.param(lm_map(), (31, 31), 0.0, [32], id="lm-grid-31"),
+        pytest.param(horseshoe_disk(), (8, 8), 0.0, [32], id="horseshoe-disk"),
+        pytest.param(ShiftsAllButOne(), (16, 16), 0.0, [32, 256], id="all-but-one"),
+    ],
+)
+def test_grids_that_are_not_closed_are_stepped(monkeypatch, lift, grid, offset, steps):
+    # `steps`: the points of each torus_step call of the walk's check; the
+    # first call is the probe, and a second one steps the whole grid
+    calls = []
+    step = maps.torus_step
+    monkeypatch.setattr(maps, "torus_step", lambda lift, u: calls.append(len(u)) or step(lift, u))
+    assert maps.walk_closed_grid(lift, *grid, offset, (2, 3)) is None
+    assert calls == steps
+    monkeypatch.undo()
+    monkeypatch.setattr(rotation, "map_label", lambda lift: type(lift).__name__)  # ShiftsAllButOne has no spec
+    walked = _walks(monkeypatch)
+    est = estimate_rotation_set(lift, grid, (2, 3), offset=offset)
+    assert walked == [False]
+    _same_bits(est, _stepped(monkeypatch, lift, grid, (2, 3), offset=offset))
