@@ -5,9 +5,9 @@ with PYTHONPATH set to that tree's source directory, and prints every
 difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
 properties, iterate maps and an integer translate, rotset grids that are
-walked and stepped, cover orbits on both sides of the orbit engine's
-float/array crossover, and one round of each benchmark workload
-(perfbench/workloads.py, seed 1).
+walked and stepped (generic ones across block edges), cover orbits on
+both sides of the orbit engine's float/array crossover, and one round of
+each benchmark workload (perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
 
@@ -61,6 +61,12 @@ FIXED = [
     ["rotset", "--map", "lm", "--csv", "--svg"],
     ["rotset", "--map", "lm", "--grid", "31", "--horizons", "100,500"],
     ["rotset", "--map", "identity", "--grid", "16"],
+    # generic starts, stepped across a block edge: the default grid's two
+    # blocks, blocks of 81 rows of 100 and a one-row-short last block
+    # (entropy at resolution 96: 85 rows, then 11)
+    ["rotset", "--map", "lm", "--offset", "0.37"],
+    ["rotset", "--map-json", TRANSLATE_LM, "--grid", "100", "--offset", "0.686"],
+    ["entropy", "--map", "lm", "--resolution", "96"],
     # cover orbits of a few starts step on Python floats; one start more
     # than maps._FLOAT_STARTS steps on arrays
     ["cover", "--map", "lm", "--iters", "20000", "--pgm"],

@@ -121,7 +121,11 @@ def convex_hull(points) -> ConvexPolygon:
     pts = pts.reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite input point")
-    pts = np.unique(_drop_deep_interior(pts), axis=0)  # sorts lexicographically
+    pts = _drop_deep_interior(pts)
+    bits = pts.view(np.uint64)
+    if (bits == bits[0]).all():  # one point repeated bit for bit, as -0.0 is not 0.0
+        return ConvexPolygon((tuple(pts[0]),))
+    pts = np.unique(pts, axis=0)  # sorts lexicographically
     if len(pts) == 1:
         return ConvexPolygon((tuple(pts[0]),))
 

@@ -20,6 +20,7 @@ Two evaluation paths are provided:
 """
 from __future__ import annotations
 
+import bisect
 import inspect
 import itertools
 import math
@@ -62,10 +63,12 @@ __all__ = [
 # Steepest slope of the radial bump profile (1 - s^2)^2 on [0, 1].
 _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 
-# Point-steps the orbit engine collects before one finiteness check: per
-# step, a check costs about as much as a batch-1 step itself. A chunk's
-# arrays live until its caller moves on, so this also bounds memory: a
-# batch-1 covering run peaks about 2 MB higher at 4096 than at 1024.
+# Point-steps per chunk the orbit engine yields. On Python floats a chunk is
+# also the unit of one finiteness check, which per step would cost about as
+# much as a batch-1 step itself; arrays are checked every step. A chunk's
+# arrays live until its caller moves on, so this bounds memory. Covering
+# runs of 10^5 steps took, on a 2-vCPU x86-64 VM, 0.051 s (one start) and
+# 0.099 s (two) at 256, 1024 and 4096 alike, peaking 0.6 MB higher at 4096.
 _ORBIT_CHUNK_POINTS = 1024
 
 # Grid starts whose images `walk_closed_grid` checks before it steps the
@@ -81,11 +84,12 @@ _PROBE_STARTS = 32
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run, rounded down to whole grid rows (at least
-# one): a block's per-step temporaries then stay in cache. On a 2-core
-# x86-64 VM, 16384 `lm` starts x 2000 steps took 0.65-0.79 s as one batch,
-# 0.47-0.49 s in blocks of 4096 and 0.60-0.70 s in blocks of 8192; 2048 was
-# no faster than one batch, and 1024 slower (0.86-1.00 s).
-_BLOCK_POINTS = 4096
+# one): a block's columns and per-step temporaries then stay in cache. On a
+# 2-vCPU x86-64 VM, a generic-offset `rotset` of `integer_translate(lm,
+# (2, -1))` (128², horizons 100, 500, 2000) took 0.31 s as one batch of
+# 16384, 0.29 s in blocks of 8192, 0.33 s in blocks of 12288 (8192 + 4096),
+# 0.36 s in blocks of 4096 and 0.49 s in blocks of 2048 (medians of 5).
+_BLOCK_POINTS = 8192
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
 # the default horseshoe_disk. Amplitude 1e9 at radius 0.25 would need
@@ -251,7 +255,8 @@ class TorusLift:
         raise NotImplementedError
 
     def _step(self, x, y, op: _Ops):
-        """One torus step from (x, y) in [0,1)²: (x', y', winding x, winding y)."""
+        """One torus step from (x, y) in [0,1)²: (x', y', winding x, winding
+        y). On arrays the windings are fresh: callers sum into them in place."""
         return op.reduce(*self._apply(x, y, op))
 
 
@@ -516,29 +521,47 @@ def torus_step(lift: TorusLift, u: np.ndarray):
     return _points(x, y, u.shape), _points(wx, wy, u.shape)
 
 
-def _array_chunk(lift: TorusLift, u: np.ndarray, w, steps: range):
-    """Points and cumulative windings after `steps` from u, whose cumulative
-    winding is w (0 before step 1), as arrays of shape (steps, ..., 2): one
-    torus_step per step."""
-    if len(steps) == 1:
-        u, dw = torus_step(lift, u)
-        # not the several-step path: a cumulative sum over a (1, n, 2)
-        # array runs one column at a time, 60 µs at 4096 points
-        return u[None], np.add(dw, w, out=dw)[None]  # dw is fresh: no allocation
-    us, dws = [], []
-    for _ in steps:
-        u, dw = torus_step(lift, u)
-        us.append(u)
-        dws.append(dw)
-    ws = np.cumsum(dws, axis=0)  # exact integers: the same as a sum per step
-    ws += w
-    return np.stack(us), ws
+def _array_chunk(lift: TorusLift, x, y, w, steps: range, at, starts: np.ndarray):
+    """Step the columns x, y through `steps` on numpy arrays, each step one
+    `lift._step` whose windings are summed in place into w, the cumulative
+    winding columns (None before step 1: step 1's fresh windings become
+    them). Returns the points and windings after each step count in `at`
+    (ascending, within `steps`), as arrays of shape (len(at), ..., 2) that
+    view (2, n) rows, the layout of `torus_step`; then the last x, y and w.
+    Every step is checked: an escape raises the error naming that step and
+    the first escaped start in `starts`."""
+    us = np.empty((len(at), 2, len(x)))
+    ws = np.empty(us.shape, dtype=np.int64)
+    picks = enumerate(at)
+    t, pick = next(picks, (0, 0))
+    for k in steps:
+        x, y, kx, ky = lift._step(x, y, _ARRAYS)
+        if w is None:
+            w = kx, ky
+        else:
+            wx, wy = w
+            wx += kx
+            wy += ky
+        if k == pick:
+            us[t, 0], us[t, 1] = x, y
+            ws[t, 0], ws[t, 1] = w
+            finite = np.isfinite(us[t]).all()  # both columns in one check
+            t, pick = next(picks, (0, 0))
+        else:
+            finite = np.isfinite(x).all() and np.isfinite(y).all()
+        if not finite:
+            i = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[0]
+            raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[i]))
+    shape = (len(at),) + starts.shape
+    return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape), x, y, w
 
 
-def _float_chunk(lift: TorusLift, u: np.ndarray, w, steps: range):
-    """`_array_chunk`'s arrays, the same bits, from each start stepped on
-    Python floats. A chunk whose floats raise, at a NaN or an infinity or
-    at a step winding past int64, runs on arrays instead."""
+def _float_chunk(lift: TorusLift, u: np.ndarray, w, steps: range, starts: np.ndarray):
+    """The points and cumulative windings after every step of `steps` from
+    u, whose cumulative winding is w (0 before step 1), as arrays of shape
+    (steps, ..., 2), from each start stepped on Python floats. A chunk whose
+    floats raise, at a NaN or an infinity or at a step winding past int64,
+    runs on arrays instead."""
     step = lift._step
     try:
         per_start = []
@@ -555,42 +578,66 @@ def _float_chunk(lift: TorusLift, u: np.ndarray, w, steps: range):
         dws = np.empty(us.shape, dtype=np.int64)
         dws[:, 0], dws[:, 1] = kx, ky  # OverflowError past int64
     except (ArithmeticError, ValueError):
-        return _array_chunk(lift, u, w, steps)
+        w = [np.array(c) for c in _columns(w)] if np.ndim(w) else None  # summed into in place
+        return _array_chunk(lift, *_columns(u), w, steps, steps, starts)[:2]
     shape = (len(steps),) + u.shape
     ws = np.cumsum(dws.reshape(shape), axis=0)
     ws += w
     return us.reshape(shape), ws
 
 
-def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None):
+def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     """The orbit engine: advance torus starts u0 (shape (..., 2)) n steps.
 
-    Yields chunks (steps, us, ws) of about `_ORBIT_CHUNK_POINTS`
-    point-steps: us[t] and ws[t] are the torus points and the cumulative
-    int64 windings after step steps[t], as arrays of shape (steps, ..., 2).
-    Batches of at most `_FLOAT_STARTS` starts step on Python floats, larger
-    ones on numpy arrays (`torus_step`); both give the same bits. On
-    arrays, a chunk of one step, any batch of more than half
-    `_ORBIT_CHUNK_POINTS` points, yields views of the step's own arrays. An
-    escape raises the error naming the earliest escaped step and, within
-    it, the first start in input order, as given in `starts` (the caller's
-    points; default u0).
+    Yields chunks (steps, us, ws) for the step counts `at` (ascending, in
+    1..n; default every step), about `_ORBIT_CHUNK_POINTS` point-steps
+    each: us[t] and ws[t] are the torus points and the cumulative int64
+    windings after step steps[t], as arrays of shape (steps, ..., 2), the
+    form `walk_closed_grid` returns. Every step up to n is taken and
+    checked, asked for or not. An escape raises the error naming the
+    earliest escaped step and, within it, the first start in input order,
+    as given in `starts` (the caller's points; default u0).
+
+    Batches of at most `_FLOAT_STARTS` starts step on Python floats in
+    chunks of every step, from which the steps in `at` are picked. Larger
+    batches step on numpy columns: x, y and the windings stay 1-d arrays
+    for the whole run, each step is one `lift._step` plus an in-place
+    winding sum, and points are built only at the steps in `at`. Both give
+    the bits of n `torus_step` calls.
     """
     points = u0.size // 2
     span = max(1, _ORBIT_CHUNK_POINTS // max(1, points))
-    chunk = _float_chunk if 0 < points <= _FLOAT_STARTS else _array_chunk
-    u, w = u0, 0  # the cumulative winding before step 1
-    for first in range(1, n + 1, span):
-        steps = range(first, min(first + span, n + 1))
+    at = range(1, n + 1) if at is None else at
+    starts = u0 if starts is None else np.reshape(starts, u0.shape)
+    if 0 < points <= _FLOAT_STARTS:
+        u, w = u0, 0  # the cumulative winding before step 1
+        for first in range(1, n + 1, span):
+            steps = range(first, min(first + span, n + 1))
+            # escaped points have NaN windings; their cast must not warn
+            with np.errstate(invalid="ignore"):
+                us, ws = _float_chunk(lift, u, w, steps, starts)
+            u, w = us[-1], ws[-1]
+            if not np.isfinite(us).all():
+                t, i = np.argwhere(~np.isfinite(us).all(axis=-1).reshape(len(us), -1))[0]
+                raise IterationError(steps[t], tuple(float(x) for x in starts.reshape(-1, 2)[i]))
+            picked = at[bisect.bisect_left(at, first) : bisect.bisect_left(at, steps.stop)]
+            if len(picked) == len(steps):
+                yield steps, us, ws
+            elif len(picked):
+                rows = np.subtract(picked, first)
+                yield picked, us[rows], ws[rows]
+        return
+    (x, y), w, first = _columns(u0), None, 1
+    for i in range(0, len(at), span):
+        picked = at[i : i + span]
         # escaped points have NaN windings; their cast must not warn
         with np.errstate(invalid="ignore"):
-            us, ws = chunk(lift, u, w, steps)
-        u, w = us[-1], ws[-1]
-        if not np.isfinite(us).all():
-            t, i = np.argwhere(~np.isfinite(us).all(axis=-1).reshape(len(us), -1))[0]
-            start = np.reshape(u0 if starts is None else starts, (-1, 2))[i]
-            raise IterationError(steps[t], tuple(float(x) for x in start))
-        yield steps, us, ws
+            us, ws, x, y, w = _array_chunk(lift, x, y, w, range(first, picked[-1] + 1), picked, starts)
+        yield picked, us, ws
+        first = picked[-1] + 1
+    if first <= n:  # the steps past the last one in `at` are checked too
+        with np.errstate(invalid="ignore"):
+            _array_chunk(lift, x, y, w, range(first, n + 1), (), starts)
 
 
 def run_in_blocks(fn, u0: np.ndarray, row_len: int) -> list:
@@ -698,8 +745,7 @@ def iterate(lift: TorusLift, p, n: int) -> np.ndarray:
     x, y = _columns(pts)
     kx, ky = np.floor(x), np.floor(y)
     base_w = _points(kx, ky, pts.shape)
-    for _, us, ws in torus_orbit(lift, _points(x - kx, y - ky, pts.shape), n, starts=pts):
-        pass  # only the last step is wanted
+    [(_, us, ws)] = torus_orbit(lift, _points(x - kx, y - ky, pts.shape), n, starts=pts, at=(n,))
     return us[-1] + base_w + ws[-1]
 
 

@@ -141,16 +141,14 @@ def rotation_vector(lift: TorusLift, p, n: int) -> np.ndarray:
     if pts.shape[-1] != 2 or not np.all(np.isfinite(pts)):
         raise ValueError("need a finite planar point")
     u0 = pts - np.floor(pts)
-    for _, us, ws in torus_orbit(lift, u0, n, starts=pts):
-        pass  # only the last step is wanted
+    [(_, us, ws)] = torus_orbit(lift, u0, n, starts=pts, at=(n,))
     return (us[-1] - u0 + ws[-1]) / n
 
 
-def _orbit_averages(chunks, u0: np.ndarray, horizons) -> list[np.ndarray]:
-    """Displacement averages of a batch of starts at each horizon, from the
-    orbit chunks (steps, us, ws) of `torus_orbit` or `walk_closed_grid`."""
-    targets = set(horizons)
-    return [(u - u0 + w) / k for steps, us, ws in chunks for k, u, w in zip(steps, us, ws) if k in targets]
+def _orbit_averages(chunks, u0: np.ndarray) -> list[np.ndarray]:
+    """Displacement averages of a batch of starts at each step count of
+    the orbit chunks (steps, us, ws) of `torus_orbit` or `walk_closed_grid`."""
+    return [(u - u0 + w) / k for steps, us, ws in chunks for k, u, w in zip(steps, us, ws)]
 
 
 def estimate_rotation_set(
@@ -173,7 +171,8 @@ def estimate_rotation_set(
     (`walk_closed_grid`): a step is a pure function of a point's bits and
     the int64 windings add associatively, so the walk gives the stepped
     bits in O(log horizon) array passes. Any other grid advances in blocks
-    of whole grid rows, one after another (`run_in_blocks`). The result is
+    of whole grid rows, one after another (`run_in_blocks`), and the orbit
+    engine builds each block's points only at the horizons. The result is
     deterministic for fixed inputs and independent of the blocks: samples
     are indexed by grid position and all per-sample arithmetic is
     elementwise, so partitioning cannot change bits. A non-finite `offset`
@@ -193,9 +192,9 @@ def estimate_rotation_set(
     u0 = grid_starts(rows, cols, offset)
     walk = walk_closed_grid(lift, rows, cols, offset, horizons)
     if walk is not None:
-        avgs = _orbit_averages([walk], u0, horizons)
+        avgs = _orbit_averages([walk], u0)
     else:
-        parts = run_in_blocks(lambda b: _orbit_averages(torus_orbit(lift, b, horizons[-1]), b, horizons), u0, cols)
+        parts = run_in_blocks(lambda b: _orbit_averages(torus_orbit(lift, b, horizons[-1], at=horizons), b), u0, cols)
         avgs = [np.concatenate(per_block) for per_block in zip(*parts)]
 
     per_hulls = tuple(convex_hull(a) for a in avgs)

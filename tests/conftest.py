@@ -14,6 +14,7 @@ from rotaset import (
     Translation,
     horseshoe_disk,
     lm_map,
+    maps,
 )
 
 settings.register_profile(
@@ -54,13 +55,26 @@ class EscapesAfterShift(TorusLift):
 class EscapesInALaterBlockFirst(TorusLift):
     """NaN on x ≥ 4/5, shift by (4/5, 0) on x < 1/10, identity between:
     starts with x < 1/10, the first grid rows, escape at step 2 and those
-    with x ≥ 4/5 at step 1. On an 80-row grid run in blocks, block 0
-    escapes only at step 2, and the earliest escape is row 64's first
-    start (0.8, 0.0), in a later block."""
+    with x ≥ 4/5 at step 1. On a grid with a row at x = 4/5, run in blocks
+    that end before that row, block 0 escapes only at step 2, and the
+    earliest escape is that row's first start (0.8, 0.0), in a later block."""
 
     def _apply(self, x, y, op):
         escaped = x >= 0.8
         return op.select(escaped, np.nan, op.select(x < 0.1, x + 0.8, x)), op.select(escaped, np.nan, y)
+
+
+def _plain_orbit(lift, u0, n):
+    """Points and cumulative windings after steps 1..n, one torus_step and
+    one winding sum per step: the loop the engine's chunks must match."""
+    u, w = u0, np.zeros(u0.shape, dtype=np.int64)
+    us, ws = [], []
+    for _ in range(n):
+        u, dw = maps.torus_step(lift, u)
+        w = w + dw
+        us.append(u)
+        ws.append(w)
+    return np.stack(us), np.stack(ws)
 
 
 def cli_env():

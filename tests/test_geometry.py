@@ -54,6 +54,23 @@ def test_hull_degenerate_point_and_segment():
     assert seg.vertices == ((0.0, 0.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "cloud",
+    [[(0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)], [(-0.0, 0.5), (0.0, 0.5)], [(0.25, -0.0), (0.25, 0.0)]],
+    ids=["zero-first", "minus-zero-first", "minus-zero-y"],
+)
+def test_hull_of_a_cloud_mixing_zero_and_minus_zero_is_uniques_point(cloud):
+    # 0.0 and -0.0 rows are not one point bit for bit: np.unique picks the vertex
+    hull = convex_hull(np.tile(cloud, (5000, 1)))
+    assert np.asarray(hull.vertices).view(np.uint64).tolist() == np.unique(cloud, axis=0).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("point", [(-0.0, 0.5), (0.3, -0.0), (-0.0, -0.0), (1e300, -1e-300)])
+def test_hull_of_one_repeated_point_keeps_its_bits(point):
+    hull = convex_hull(np.tile(point, (16384, 1)))
+    assert np.asarray(hull.vertices).view(np.uint64).tolist() == np.asarray([point]).view(np.uint64).tolist()
+
+
 def test_hull_collinear_tolerance():
     # a midpoint nudged by far less than the relative tolerance collapses
     hull = convex_hull([(0, 0), (0.5, 1e-15), (1, 0)])

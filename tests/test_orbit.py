@@ -8,7 +8,7 @@ import functools
 import math
 import pickle
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -17,12 +17,14 @@ from rotaset import (
     BASE_TORUS,
     FOUR_FOLD,
     IntegerTranslate,
+    Iterate,
     IterationError,
     TorusLift,
     Translation,
     dynamical_distance,
     estimate_rotation_set,
     from_map_spec,
+    horseshoe_disk,
     iterate,
     lift_to_covering,
     lm_map,
@@ -32,7 +34,7 @@ from rotaset import (
 )
 from rotaset.entropy import orbit_table
 
-from .conftest import IRRATIONAL, EscapesAfterShift, EscapesInALaterBlockFirst, EscapesRightHalf
+from .conftest import IRRATIONAL, EscapesAfterShift, EscapesInALaterBlockFirst, EscapesRightHalf, _plain_orbit
 
 ESCAPES = EscapesRightHalf()
 
@@ -51,17 +53,17 @@ class EscapesAtThreeQuarters(TorusLift):
         return op.select(escaped, self.value, x), op.select(escaped, self.value, y)
 
 
-def _plain_orbit(lift, u0, n):
-    """Points and cumulative windings after steps 1..n, one torus_step and
-    one winding sum per step: the loop the engine's chunks must match."""
-    u, w = u0, np.zeros(u0.shape, dtype=np.int64)
-    us, ws = [], []
-    for _ in range(n):
-        u, dw = maps.torus_step(lift, u)
-        w = w + dw
-        us.append(u)
-        ws.append(w)
-    return np.stack(us), np.stack(ws)
+@dataclass(frozen=True)
+class CountsArraySteps(TorusLift):
+    """`base`, recording the batch size of each step taken on numpy arrays."""
+
+    base: TorusLift
+    array_steps: list = field(default_factory=list, compare=False)
+
+    def _step(self, x, y, op):
+        if op is maps._ARRAYS:
+            self.array_steps.append(np.size(x))
+        return self.base._step(x, y, op)
 
 
 # (points, steps): one-step chunks from 513 points up; the others take
@@ -105,7 +107,6 @@ TWO_PATH_SPECS = {
     "horseshoe-disk": {"map": "horseshoe_disk"},
 }
 DISK_STEPS = 2000
-_ARRAY_STEP = maps.torus_step
 
 
 def _engine_cases():
@@ -133,19 +134,13 @@ def _reference(lift, batch, n, box):
 
 
 @pytest.mark.parametrize("lift, points, n, box, batch, on_floats", _engine_cases())
-def test_torus_orbit_matches_a_plain_step_loop(monkeypatch, lift, points, n, box, batch, on_floats):
+def test_torus_orbit_matches_a_plain_step_loop(lift, points, n, box, batch, on_floats):
     # the engine runs the first `points` of the reference's starts: each
     # start's arithmetic is elementwise, whatever else is in its batch
     u0, us, ws = (a[..., :points, :] for a in _reference(lift, batch, n, box))
-    array_steps = []
-
-    def counted_step(lift, u):
-        array_steps.append(u.size // 2)
-        return _ARRAY_STEP(lift, u)
-
-    monkeypatch.setattr(maps, "torus_step", counted_step)
-    chunks = list(maps.torus_orbit(lift, u0, n))
-    assert array_steps == ([] if on_floats else [points] * n)
+    counted = CountsArraySteps(lift)
+    chunks = list(maps.torus_orbit(counted, u0, n))
+    assert counted.array_steps == ([] if on_floats else [points] * n)
     span = max(1, maps._ORBIT_CHUNK_POINTS // points)
     assert [len(steps) for steps, _, _ in chunks][:-1] == [span] * (len(chunks) - 1)
     assert [k for steps, _, _ in chunks for k in steps] == list(range(1, n + 1))
@@ -153,6 +148,52 @@ def test_torus_orbit_matches_a_plain_step_loop(monkeypatch, lift, points, n, box
     got_ws = np.concatenate([c[2] for c in chunks])
     assert got_us.shape == us.shape and got_us.tobytes() == us.tobytes()
     assert got_ws.dtype == np.int64 and np.array_equal(got_ws, ws)
+
+
+# Array batches: the smallest, whose one chunk holds every requested step;
+# 300 starts, 3 requested steps a chunk; and one start either side of the
+# default block. They ask for step 1, interior steps and the last: the
+# engine builds points only at those steps. The windings of
+# `wrapping-windings` pass 2**63 by step 2.
+ARRAY_BATCHES = [maps._FLOAT_STARTS + 1, 300, maps._BLOCK_POINTS - 1, maps._BLOCK_POINTS, maps._BLOCK_POINTS + 1]
+AT = (1, 2, 3, 17, 39, 40)
+REQUESTED = {  # lift, requested steps, starts box
+    "lm": (lm_map(), AT, (0.0, 1.0)),
+    "wrapping-windings": (IntegerTranslate(lm_map(), (2**62, -(2**62) + 1)), AT, (0.0, 1.0)),
+    "iterate": (Iterate(lm_map(), 2), AT, (0.0, 1.0)),
+    "horseshoe-disk": (horseshoe_disk(), (1, 2, 3), (0.4, 0.6)),  # about 27 ms per step
+}
+
+
+def _requested_cases():
+    """(lift, points, requested steps, starts box) per case: the array
+    batches above, and float batches whose chunks of 1024 // points steps
+    hold some requested steps or none."""
+    for name, (lift, at, box) in REQUESTED.items():
+        for points in ARRAY_BATCHES:
+            yield pytest.param(lift, points, at, box, id=f"{name}-{points}")
+    float_at = {"sparse": (1, 700, 2500), "chunk-edges": (1024, 1025, 2047, 2048), "last": (2500,)}
+    for at_name, at in float_at.items():
+        for points in (1, 2, maps._FLOAT_STARTS):
+            yield pytest.param(lm_map(), points, at, (0.0, 1.0), id=f"floats-{at_name}-{points}")
+
+
+@pytest.mark.parametrize("lift, points, at, box", _requested_cases())
+def test_requested_steps_match_a_plain_step_loop(lift, points, at, box):
+    on_floats = points <= maps._FLOAT_STARTS
+    batch = maps._FLOAT_STARTS if on_floats else ARRAY_BATCHES[-1]
+    u0, us, ws = (a[..., :points, :] for a in _reference(lift, batch, at[-1], box))
+    counted = CountsArraySteps(lift)
+    chunks = list(maps.torus_orbit(counted, u0, at[-1], at=at))
+    assert counted.array_steps == ([] if on_floats else [points] * at[-1])
+    assert [k for steps, _, _ in chunks for k in steps] == list(at)
+    got_us = np.concatenate([c[1] for c in chunks])
+    got_ws = np.concatenate([c[2] for c in chunks])
+    rows = np.subtract(at, 1)
+    assert got_us.shape == us[rows].shape and got_us.tobytes() == us[rows].tobytes()
+    assert got_ws.dtype == np.int64 and np.array_equal(got_ws, ws[rows])
+    if isinstance(lift, IntegerTranslate):
+        assert (ws[1][:, 0] < 0).any()  # wrapped past int64
 
 
 def test_transitivity_score_matches_a_per_step_loop():
@@ -198,6 +239,62 @@ def test_escape_in_a_later_chunk_names_its_step_and_start(run, value):
     # alone, a start runs 1024 steps per chunk: the second chunk
     err = _escape(lambda: run(lift, [(0.125, 0.5)]))
     assert (err.step, err.start) == (1280, (0.125, 0.5))
+
+
+@dataclass(frozen=True)
+class EscapesInABand(TorusLift):
+    """Shift by (1/2048, 0), exact in floats, and `value` (NaN or an
+    infinity) where x lands in [2040/2048, 2041/2048): a start (x, y) with
+    x = m/2048, m < 2040, escapes at step 2040 − m. With `recovers`, a NaN
+    point goes back to (1/4, 1/2) on the next step."""
+
+    value: float
+    recovers: bool = False
+
+    def _apply(self, x, y, op):
+        if self.recovers:
+            x, y = op.select(x != x, 0.25, x), op.select(y != y, 0.5, y)
+        x = x + 1 / 2048
+        escaped = (x >= 2040 / 2048) & (x < 2041 / 2048)
+        return op.select(escaped, self.value, x), op.select(escaped, self.value, y)
+
+
+BAND_ESCAPES = [
+    pytest.param(EscapesInABand(math.nan), id="nan"),
+    pytest.param(EscapesInABand(math.inf), id="inf"),
+    pytest.param(EscapesInABand(-math.inf), id="minus-inf"),
+    pytest.param(EscapesInABand(math.nan, recovers=True), id="nan-then-finite"),
+]
+
+
+@pytest.mark.parametrize("lift", BAND_ESCAPES)
+@pytest.mark.parametrize(
+    "at", [(1, 8, 100), (1, 100), (1, 5)], ids=["requested", "between-requested", "after-the-last"]
+)
+@pytest.mark.parametrize("cols", [1, 3], ids=["4-steps-a-chunk", "1-step-a-chunk"])
+def test_array_escape_at_any_step_names_its_step_and_start(cols, at, lift):
+    # row 254 of a 256-row grid, x = 2032/2048, escapes first, at step 8
+    starts = maps.grid_starts(256, cols, 0.0)
+    err = _escape(lambda: list(maps.torus_orbit(lift, starts, 100, at=at)))
+    assert (err.step, err.start) == (8, (254 / 256, 0.0))
+
+
+@pytest.mark.parametrize("lift", BAND_ESCAPES)
+@pytest.mark.parametrize(
+    "run, start",
+    [
+        # 128 rows of 64 per block: row 254 is in block 1, and block 0
+        # escapes only at step 1024, from row 127
+        (lambda lift: estimate_rotation_set(lift, (256, 64), (1, 5, 1100)), (254 / 256, 0.0)),
+        # 64 rows of 128 per block: row 127 is in block 1
+        (lambda lift: orbit_table(lift, 128, 12), (127 / 128, 0.0)),
+    ],
+    ids=["estimate_rotation_set", "orbit_table"],
+)
+def test_grid_escape_past_step_1_in_a_later_block(lift, run, start):
+    assert maps._BLOCK_POINTS == 8192  # the blocks the comments count
+    err = _escape(lambda: run(lift))
+    assert (err.step, err.start) == (8, start)
 
 
 # Each runs one orbit loop on a batch whose first start escaping at step 1
@@ -260,9 +357,9 @@ def test_grid_run_escape_is_the_earliest(run):
 
 
 # Grids larger than one default block: estimate_rotation_set runs rows of
-# 64 starts, orbit_table rows of 80.
-ROTSET_GRID = (80, 64)
-TABLE_RES = 80
+# 64 starts, orbit_table rows of 120. Both have a grid row at x = 4/5.
+ROTSET_GRID = (160, 64)
+TABLE_RES = 120
 # Grid rows per block; None keeps the default _BLOCK_POINTS.
 BLOCK_ROWS = [1, 3, None]
 

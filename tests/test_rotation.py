@@ -13,10 +13,12 @@ from rotaset import (
     Translation,
     check_iterate_scaling,
     check_translation_equivariance,
+    convex_hull,
     estimate_rotation_set,
     hausdorff_distance,
     horseshoe_disk,
     interior_nonempty,
+    iterate,
     lm_map,
     maps,
     polygon_area,
@@ -26,7 +28,7 @@ from rotaset import (
 )
 from rotaset.serialize import canonical_json
 
-from .conftest import IRRATIONAL, UNIT_SQUARE, EscapesRightHalf
+from .conftest import IRRATIONAL, UNIT_SQUARE, EscapesRightHalf, _plain_orbit
 
 
 def test_rotation_vector_translation():
@@ -324,3 +326,44 @@ def test_grids_that_are_not_closed_are_stepped(monkeypatch, lift, grid, offset, 
     est = estimate_rotation_set(lift, grid, (2, 3), offset=offset)
     assert walked == [False]
     _same_bits(est, _stepped(monkeypatch, lift, grid, (2, 3), offset=offset))
+
+
+# Stepped grids of one-start rows, one start either side of the default
+# block: the largest runs as a full block and a block of one start. The
+# horizons are step 1, an interior step and the last. `horseshoe-disk`
+# takes about 27 ms per step; its grid line y = 0.26 crosses the disk near
+# its edge, where the hulls keep about 200 vertices (hausdorff_distance is
+# quadratic in them: at y = 0.37 one estimate takes 9 s).
+STEPPED_ROWS = [maps._BLOCK_POINTS - 1, maps._BLOCK_POINTS, maps._BLOCK_POINTS + 1]
+STEPPED = {  # lift, horizons, offset
+    "lm": (lm_map(), (1, 17, 40), 0.37),
+    "wrapping-windings": (IntegerTranslate(lm_map(), (2**62, -(2**62) + 1)), (1, 17, 40), 0.37),
+    "iterate": (Iterate(lm_map(), 2), (1, 17, 40), 0.37),
+    "horseshoe-disk": (horseshoe_disk(), (1, 2, 3), 0.26),
+}
+
+
+@pytest.mark.parametrize("rows", STEPPED_ROWS)
+@pytest.mark.parametrize("name", list(STEPPED))
+def test_stepped_estimate_matches_a_plain_step_loop(monkeypatch, name, rows):
+    lift, horizons, offset = STEPPED[name]
+    walked = _walks(monkeypatch)
+    est = estimate_rotation_set(lift, (rows, 1), horizons, offset=offset)
+    assert walked == [False]
+    u0 = maps.grid_starts(rows, 1, offset)
+    us, ws = _plain_orbit(lift, u0, horizons[-1])
+    averages = [(us[k - 1] - u0 + ws[k - 1]) / k for k in horizons]
+    assert est.samples.starts.tobytes() == u0.tobytes()
+    assert est.samples.averages.tobytes() == averages[-1].tobytes()
+    assert est.per_horizon_hulls == tuple(convex_hull(a) for a in averages)
+
+
+@pytest.mark.parametrize("name", list(STEPPED))
+def test_last_step_of_rotation_vector_and_iterate_matches_a_plain_step_loop(name):
+    lift, horizons, offset = STEPPED[name]
+    n = horizons[-1]
+    for points in (1, maps._FLOAT_STARTS + 1, 300):
+        u0 = maps.grid_starts(points, 1, offset)
+        us, ws = _plain_orbit(lift, u0, n)
+        assert rotation_vector(lift, u0, n).tobytes() == ((us[-1] - u0 + ws[-1]) / n).tobytes()
+        assert iterate(lift, u0, n).tobytes() == (us[-1] + ws[-1]).tobytes()
