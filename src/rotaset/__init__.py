@@ -49,7 +49,6 @@ from .maps import (
     Translation,
     VerticalTentShear,
     builtin_map,
-    eval_inverse,
     eval_lift,
     from_map_spec,
     horseshoe_disk,

@@ -1,17 +1,18 @@
 """Lifts of torus homeomorphisms isotopic to the identity.
 
 A lift is an immutable combinator tree evaluated on planar points. Every
-variant satisfies F(p + v) = F(p) + v for integer v, is invertible, and
-projects to a homeomorphism of the 2-torus. Each variant states its
-arithmetic once, on coordinates x and y, with operations that numpy arrays
-and Python floats both accept, so one declaration runs on a batch of points
-as numpy columns and on a single point as Python floats, with the same bits.
+variant satisfies F(p + v) = F(p) + v for integer v and projects to a
+homeomorphism of the 2-torus, which the library evaluates forward only.
+Each variant states its arithmetic once, on coordinates x and y, with
+operations that numpy arrays and Python floats both accept, so one
+declaration runs on a batch of points as numpy columns and on a single
+point as Python floats, with the same bits.
 Evaluation is pure. Grid runs (`run_in_blocks`) advance their blocks of
 starts one after another on the calling thread.
 
 Two evaluation paths are provided:
 
-* ``eval_lift`` / ``eval_inverse`` — plain planar evaluation.
+* ``eval_lift`` — plain planar evaluation.
 * ``torus_step`` — one step of the projected torus dynamics on points in
   [0,1)², returned as (next point in [0,1)², integer winding). Windings are
   exact int64, so orbit bookkeeping that must respect the algebraic
@@ -43,7 +44,6 @@ __all__ = [
     "IterationError",
     "tent",
     "eval_lift",
-    "eval_inverse",
     "torus_step",
     "iterate",
     "torus_orbit",
@@ -64,11 +64,12 @@ __all__ = [
 _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 
 # Point-steps per chunk the orbit engine yields. On Python floats a chunk is
-# also the unit of one finiteness check, which per step would cost about as
-# much as a batch-1 step itself; arrays are checked every step. A chunk's
-# arrays live until its caller moves on, so this bounds memory. Covering
-# runs of 10^5 steps took, on a 2-vCPU x86-64 VM, 0.051 s (one start) and
-# 0.099 s (two) at 256, 1024 and 4096 alike, peaking 0.6 MB higher at 4096.
+# also the unit that runs again on arrays when a step raises, so a float
+# step needs no finiteness check of its own; arrays are checked every step.
+# A chunk's arrays live until its caller moves on, so this bounds memory.
+# Covering runs of 10^5 steps took, on a 2-vCPU x86-64 VM, 0.051 s (one
+# start) and 0.099 s (two) at 256, 1024 and 4096 alike, peaking 0.6 MB
+# higher at 4096.
 _ORBIT_CHUNK_POINTS = 1024
 
 # Grid starts whose images `walk_closed_grid` checks before it steps the
@@ -229,7 +230,7 @@ def _builtin(name: str, label: bool = False):
 
 @dataclass(frozen=True)
 class TorusLift:
-    """Base class; concrete variants implement _apply and _apply_inv.
+    """Base class; a concrete variant implements _apply alone.
 
     ``class V(TorusLift, spec="name")`` declares the built-in map "name":
     its fields are the spec's parameters (keyed by ``metadata["spec"]`` if
@@ -251,9 +252,6 @@ class TorusLift:
         columns and on Python floats. It must not change x or y in place."""
         raise NotImplementedError
 
-    def _apply_inv(self, x, y, op: _Ops):
-        raise NotImplementedError
-
     def _step(self, x, y, op: _Ops):
         """One torus step from (x, y) in [0,1)²: (x', y', winding x, winding
         y). On arrays the windings are fresh: callers sum into them in place."""
@@ -264,8 +262,6 @@ class TorusLift:
 class Identity(TorusLift, spec="identity"):
     def _apply(self, x, y, op):
         return x, y
-
-    _apply_inv = _apply
 
 
 @dataclass(frozen=True)
@@ -279,14 +275,10 @@ class Translation(TorusLift, spec="translation"):
         vx, vy = self.v
         return x + vx, y + vy
 
-    def _apply_inv(self, x, y, op):
-        vx, vy = self.v
-        return x - vx, y - vy
-
 
 @dataclass(frozen=True)
 class _TentShear(TorusLift):
-    """Adds amplitude·tent(other coordinate) to one coordinate (`_shear`)."""
+    """Adds amplitude·tent(other coordinate) to one coordinate."""
 
     amplitude: float = 1.0
 
@@ -294,20 +286,14 @@ class _TentShear(TorusLift):
         # stored as given: map_label prints a JSON int amplitude as an int
         _param("amplitude", self.amplitude, winding=True)
 
-    def _apply(self, x, y, op):
-        return self._shear(x, y, self.amplitude, op)
-
-    def _apply_inv(self, x, y, op):
-        return self._shear(x, y, -self.amplitude, op)
-
 
 @dataclass(frozen=True)
 class VerticalTentShear(_TentShear, spec="vertical_tent_shear"):
     """(x, y) -> (x, y + a·tent(x)); a true shear, invertible for any a."""
 
-    def _shear(self, x, y, a, op):
+    def _apply(self, x, y, op):
         d = _tent(x, op.floor)
-        d *= a
+        d *= self.amplitude
         d += y
         return x, d
 
@@ -316,9 +302,9 @@ class VerticalTentShear(_TentShear, spec="vertical_tent_shear"):
 class HorizontalTentShear(_TentShear, spec="horizontal_tent_shear"):
     """(x, y) -> (x + a·tent(y), y)."""
 
-    def _shear(self, x, y, a, op):
+    def _apply(self, x, y, op):
         d = _tent(y, op.floor)
-        d *= a
+        d *= self.amplitude
         d += x
         return d, y
 
@@ -332,9 +318,10 @@ class LocalizedShear(TorusLift, spec="localized_shear"):
     composition of substeps small enough that each substep's transverse
     Lipschitz constant is ≤ 1/2. A single shot with a large amplitude is
     not injective; the substepped form is a homeomorphism for any
-    amplitude, and its inverse is computed by per-substep fixed-point
-    iteration (contraction factor ≤ 1/2). Amplitudes that need more than
-    `_MAX_SUBSTEPS` substeps are rejected.
+    amplitude: each substep adds to the moved coordinate a displacement
+    of Lipschitz constant ≤ 1/2 in it, so it is strictly increasing in
+    that coordinate. Amplitudes that need more than `_MAX_SUBSTEPS`
+    substeps are rejected.
 
     Points at torus distance ≥ radius from the center are returned
     bitwise unchanged.
@@ -386,21 +373,6 @@ class LocalizedShear(TorusLift, spec="localized_shear"):
                 x = x + d
         return x, y
 
-    def _apply_inv(self, x, y, op):
-        a = self.amplitude / self.substeps
-        vertical = self.axis == "vertical"
-        for _ in range(self.substeps):
-            # solve m + a·bump(x, y) = target for the moved coordinate m by
-            # fixed-point iteration
-            target = y if vertical else x
-            for _ in range(80):
-                m = target - a * self._bump(x, y, op)
-                change = abs(m - (y if vertical else x))
-                x, y = (x, m) if vertical else (m, y)
-                if np.max(change, initial=0.0) < 1e-16:
-                    break
-        return x, y
-
 
 @dataclass(frozen=True)
 class _Chain(TorusLift):
@@ -410,11 +382,6 @@ class _Chain(TorusLift):
     def _apply(self, x, y, op):
         for f in self._links:
             x, y = f._apply(x, y, op)
-        return x, y
-
-    def _apply_inv(self, x, y, op):
-        for f in reversed(tuple(self._links)):
-            x, y = f._apply_inv(x, y, op)
         return x, y
 
     def _step(self, x, y, op):
@@ -473,10 +440,6 @@ class IntegerTranslate(TorusLift, spec="integer_translate"):
         vx, vy = self.v
         return x + vx, y + vy
 
-    def _apply_inv(self, x, y, op):
-        vx, vy = self.v
-        return self.base._apply_inv(x - vx, y - vy, op)
-
     def _step(self, x, y, op):
         x, y, wx, wy = self.base._step(x, y, op)  # fresh winding arrays, added to in place
         vx, vy = self.v
@@ -491,11 +454,6 @@ def eval_lift(lift: TorusLift, p) -> np.ndarray:
     """Evaluate the planar lift at p (shape (...,2)); rejects non-finite input."""
     pts = _as_points(p)
     return _points(*lift._apply(*_columns(pts), _ARRAYS), pts.shape)
-
-
-def eval_inverse(lift: TorusLift, p) -> np.ndarray:
-    pts = _as_points(p)
-    return _points(*lift._apply_inv(*_columns(pts), _ARRAYS), pts.shape)
 
 
 def project_to_torus(p) -> np.ndarray:
@@ -617,9 +575,6 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
             with np.errstate(invalid="ignore"):
                 us, ws = _float_chunk(lift, u, w, steps, starts)
             u, w = us[-1], ws[-1]
-            if not np.isfinite(us).all():
-                t, i = np.argwhere(~np.isfinite(us).all(axis=-1).reshape(len(us), -1))[0]
-                raise IterationError(steps[t], tuple(float(x) for x in starts.reshape(-1, 2)[i]))
             picked = at[bisect.bisect_left(at, first) : bisect.bisect_left(at, steps.stop)]
             if len(picked) == len(steps):
                 yield steps, us, ws

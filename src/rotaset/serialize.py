@@ -70,20 +70,11 @@ def write_json(path, value) -> Path:
 
 
 def write_csv(path, header, rows) -> Path:
-    """CSV with the same float formatting as the JSON artifacts."""
-
-    def cell(v):
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return format_float(float(v))
-        return str(v)
-
+    """CSV whose cells are formatted as JSON artifact values; strings go in
+    as given."""
     path = Path(path)
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(v if isinstance(v, str) else _emit(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 
