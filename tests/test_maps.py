@@ -219,6 +219,19 @@ def test_torus_step_winding_is_integer(lm, rng):
     assert np.max(np.abs(eval_lift(lm, u) - (u2 + k))) <= 1e-12
 
 
+@pytest.mark.parametrize("name,f", ALL_MAPS)
+def test_torus_step_reproduces_the_lift(name, f, rng):
+    """Each built-in's projected step, torus point plus integer winding, is
+    its planar lift: the `_step` overrides of Iterate and IntegerTranslate
+    and the reducing step of the rest agree with `_apply` (up to integer
+    equivariance noise, as Iterate reduces between its links)."""
+    u = rng.random((256, 2))
+    u2, k = torus_step(f, u)
+    assert k.dtype == np.int64
+    assert np.all(u2 >= 0.0) and np.all(u2 < 1.0)
+    assert np.max(np.abs(eval_lift(f, u) - (u2 + k))) <= 1e-9
+
+
 def test_integer_translate_windings_exact(lm, rng):
     u = rng.random((32, 2))
     u_base, k_base = torus_step(lm, u)
