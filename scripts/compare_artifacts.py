@@ -30,9 +30,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 DIFF_LINES = 40  # most diff lines printed per file
-MORE_THAN_FLOAT_STARTS = 11  # rotaset.maps._FLOAT_STARTS + 1
+FLOAT_STARTS = 10  # rotaset.maps._FLOAT_STARTS
+MORE_THAN_FLOAT_STARTS = FLOAT_STARTS + 1
 ITERATE_LM = json.dumps({"map": "iterate", "params": {"base": {"map": "lm"}, "k": 2}})
 TRANSLATE_LM = json.dumps({"map": "integer_translate", "params": {"base": {"map": "lm"}, "v": [0, -3]}})
+TRANSLATE_ROTATION = json.dumps({"map": "integer_translate", "params": {
+    "base": {"map": "rotation", "params": {"alpha": 0.41421356, "beta": 0.73205081}}, "v": [1, -2],
+}})
+
+
+def _grid_starts(count: int, width: float) -> str:
+    """`count` spread --starts in [0, width) x [0, 1)."""
+    return ";".join(f"{(0.17 * i + 0.05) % width!r},{(0.31 * i + 0.02) % 1!r}" for i in range(count))
+
 
 FIXED = [
     # acceptance 8
@@ -68,13 +78,20 @@ FIXED = [
     ["rotset", "--map-json", TRANSLATE_LM, "--grid", "100", "--offset", "0.686"],
     ["entropy", "--map", "lm", "--resolution", "96"],
     # cover orbits of a few starts step on Python floats; one start more
-    # than maps._FLOAT_STARTS steps on arrays
+    # than maps._FLOAT_STARTS steps on arrays. On floats a leaf lift (here
+    # rotation) is applied and reduced by the engine, up to the largest
+    # float batch, and a lift that overrides `_step` (lm, an iterate, an
+    # integer translate) is stepped through its override.
     ["cover", "--map", "lm", "--iters", "20000", "--pgm"],
     ["cover", "--map", "horseshoe_disk", "--iters", "2000", "--starts", "0.45,0.52", "--resolution", "8"],
     ["cover", "--map", "lm", "--power", "3", "--factors", "2x1", "--iters", "5000", "--resolution", "8",
      "--starts", "0.3,0.7;1.6,0.2"],
     ["cover", "--map", "lm", "--factors", "2x1", "--iters", "3000", "--resolution", "8",
-     "--starts", ";".join(f"{0.17 * i + 0.05!r},{(0.31 * i + 0.02) % 1!r}" for i in range(MORE_THAN_FLOAT_STARTS))],
+     "--starts", _grid_starts(MORE_THAN_FLOAT_STARTS, 2.0)],
+    ["cover", "--map", "rotation", "--alpha", "0.41421356", "--beta", "0.73205081", "--factors", "2x2",
+     "--iters", "20000", "--resolution", "16", "--starts", _grid_starts(FLOAT_STARTS, 2.0)],
+    ["cover", "--map-json", TRANSLATE_ROTATION, "--factors", "2x1", "--iters", "20000", "--resolution", "8",
+     "--starts", "0.3,0.7;1.6,0.2"],
 ]
 
 

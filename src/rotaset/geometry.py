@@ -39,6 +39,10 @@ _COLLINEAR_REL_TOL = 1e-12
 _PREFILTER_REL_MARGIN = 1e-9
 _PREFILTER_ABS_MARGIN = 1e-12
 
+# Vertex-edge pairs `hausdorff_distance` takes at once, so that each of its
+# (pairs, 2) temporaries stays near 1 MB.
+_PAIR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -187,38 +191,54 @@ def polygon_diameter(poly: ConvexPolygon) -> float:
     return float(np.sqrt(np.max(np.sum(d * d, axis=-1))))
 
 
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points p (...,2) to segment [a, b]."""
+def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p · q along the last axis. Each pair is one `@` of a row by a column,
+    which numpy hands to its dot routine: the rounding of ``u @ v`` on two
+    2-vectors, which a BLAS may fuse into a multiply-add, whatever the batch.
+    A matrix-vector `@` or explicit products and sums round differently."""
+    return (p[..., None, :] @ q[..., :, None])[..., 0, 0]
+
+
+def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from points p (n, 2) to the segments [a[j], b[j]] (m, 2),
+    shape (n, m); a segment of zero length is its point a[j]."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        diff = p - a
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    diff = p - proj
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    denom = _dot(ab, ab)
+    pa = p[:, None, :] - a
+    t = np.divide(_dot(pa, ab), denom, out=np.zeros(pa.shape[:2]), where=denom != 0.0)
+    diff = p[:, None, :] - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
+    return np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+
+
+def _distances_to_polygon(p: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
+    """Euclidean distances from points p (n, 2) to the filled polygon; 0
+    inside. Every vertex-edge pair is one array element."""
+    v = poly.as_array()
+    if len(v) == 1:
+        d = p - v[0]
+        return np.hypot(d[:, 0], d[:, 1])
+    if len(v) == 2:
+        return _segment_distances(p, v[:1], v[1:])[:, 0]
+    a, b = v, np.roll(v, -1, axis=0)
+    # exact half-plane test: vertices and exactly-collinear edge points give a
+    # cross product of exactly 0.0, and an absolute slack would swallow the
+    # true (tiny) distances of points just outside a micro-scale polygon
+    cross = (b[:, 0] - a[:, 0]) * (p[:, None, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[:, None, 0] - a[:, 0])
+    inside = (cross >= 0.0).all(axis=1)
+    return np.where(inside, 0.0, _segment_distances(p, a, b).min(axis=1))
 
 
 def point_to_polygon_distance(p, poly: ConvexPolygon) -> float:
     """Euclidean distance from p to the (filled) polygon; 0 inside."""
-    pt = np.asarray(p, dtype=float)
-    v = poly.as_array()
-    if len(v) == 1:
-        return float(np.hypot(*(pt - v[0])))
-    if len(v) == 2:
-        return float(_segment_distance(pt[None, :], v[0], v[1])[0])
-    edges = list(zip(v, np.roll(v, -1, axis=0)))
-    # exact half-plane test: vertices and exactly-collinear edge points give a
-    # cross product of exactly 0.0, and an absolute slack would swallow the
-    # true (tiny) distances of points just outside a micro-scale polygon
-    inside = all(
-        (b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0]) >= 0.0
-        for a, b in edges
-    )
-    if inside:
-        return 0.0
-    return float(min(_segment_distance(pt[None, :], a, b)[0] for a, b in edges))
+    return float(_distances_to_polygon(np.asarray(p, dtype=float).reshape(1, 2), poly)[0])
+
+
+def _farthest_vertex_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
+    """The largest distance from a vertex of a to the filled polygon b, from
+    blocks of a's vertices of at most `_PAIR_BLOCK` vertex-edge pairs."""
+    v = a.as_array()
+    rows = max(1, _PAIR_BLOCK // len(b.vertices))
+    return max(float(_distances_to_polygon(v[i : i + rows], b).max()) for i in range(0, len(v), rows))
 
 
 def hausdorff_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -227,9 +247,7 @@ def hausdorff_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     For convex bodies the one-sided supremum is attained at a vertex, so
     max over vertex-to-body distances in both directions is exact.
     """
-    d_ab = max(point_to_polygon_distance(v, b) for v in a.vertices)
-    d_ba = max(point_to_polygon_distance(v, a) for v in b.vertices)
-    return max(d_ab, d_ba)
+    return max(_farthest_vertex_distance(a, b), _farthest_vertex_distance(b, a))
 
 
 def affine_image(poly: ConvexPolygon, scale: float, offset=(0.0, 0.0)) -> ConvexPolygon:

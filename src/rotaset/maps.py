@@ -67,9 +67,9 @@ _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 # also the unit that runs again on arrays when a step raises, so a float
 # step needs no finiteness check of its own; arrays are checked every step.
 # A chunk's arrays live until its caller moves on, so this bounds memory.
-# Covering runs of 10^5 steps took, on a 2-vCPU x86-64 VM, 0.051 s (one
-# start) and 0.099 s (two) at 256, 1024 and 4096 alike, peaking 0.6 MB
-# higher at 4096.
+# Covering runs of 10^5 rotation steps took, on a 2-vCPU x86-64 VM, 0.041 s
+# (one start) and 0.080 s (two) at 1024, against 0.047 and 0.10 s at 256 and
+# 0.037 and 0.073-0.11 s at 4096 (medians of 9, three processes each).
 _ORBIT_CHUNK_POINTS = 1024
 
 # Grid starts whose images `walk_closed_grid` checks before it steps the
@@ -77,11 +77,12 @@ _ORBIT_CHUNK_POINTS = 1024
 # this many points, 0.04 ms for `lm` at 128² on a 2-vCPU x86-64 VM.
 _PROBE_STARTS = 32
 
-# Most starts the orbit engine steps on Python floats; larger batches step
-# on numpy columns. One step of a batch took, on a 2-vCPU x86-64 VM, 0.42 µs
-# per start on floats and 5.8 µs on arrays for a translation, and 1.17 µs
-# per start and 13.4 µs for `lm` (arrays cost about the same up to a few
-# dozen starts): floats stay faster up to about 14 and 11 starts.
+# Most starts the orbit engine (and `torus_step`) steps on Python floats;
+# larger batches step on numpy columns. One engine step of a batch took, on
+# a 2-vCPU x86-64 VM, 0.35 µs per start on floats and 7.2 µs on arrays for a
+# translation, and 1.4 µs per start and 17 µs for `lm` (arrays cost about
+# the same up to a few dozen starts): floats stay faster up to about 20 and
+# 12 starts. `lm`, whose `_step` is an override, sets the bound.
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run, rounded down to whole grid rows (at least
@@ -472,9 +473,20 @@ def torus_step(lift: TorusLift, u: np.ndarray):
     steps (Iterate, Composition) override `TorusLift._step`, so their windings
     are exact integer arithmetic on top of the base map's windings and the
     torus point stream is bit-identical to the base map's where the
-    projected dynamics coincide. This is the numpy path, and the reference
-    that the orbit engine's Python-float path matches bit for bit.
+    projected dynamics coincide. Float64 batches of at most `_FLOAT_STARTS`
+    points step on Python floats, as the orbit engine steps them; others,
+    and a batch whose floats raise (at a NaN, an infinity or a winding past
+    int64), step on numpy columns, where an escaped point comes back NaN
+    and windings wrap as int64. Both give the same bits.
     """
+    if 0 < u.size <= 2 * _FLOAT_STARTS and u.dtype == np.float64:
+        try:
+            x, y, wx, wy = zip(*(lift._step(x, y, _FLOATS) for x, y in u.reshape(-1, 2).tolist()))
+            xy = np.array((x, y))
+            xy += 0.0  # a -0.0 point to 0.0, as x - floor(x) gives it on arrays
+            return xy.T.reshape(u.shape), np.array((wx, wy), dtype=np.int64).T.reshape(u.shape)
+        except (ArithmeticError, ValueError):
+            pass
     x, y, wx, wy = lift._step(*_columns(u), _ARRAYS)
     return _points(x, y, u.shape), _points(wx, wy, u.shape)
 
@@ -517,24 +529,38 @@ def _array_chunk(lift: TorusLift, x, y, w, steps: range, at, starts: np.ndarray)
 def _float_chunk(lift: TorusLift, u: np.ndarray, w, steps: range, starts: np.ndarray):
     """The points and cumulative windings after every step of `steps` from
     u, whose cumulative winding is w (0 before step 1), as arrays of shape
-    (steps, ..., 2), from each start stepped on Python floats. A chunk whose
-    floats raise, at a NaN or an infinity or at a step winding past int64,
-    runs on arrays instead."""
-    step = lift._step
+    (steps, ..., 2), each start stepped on Python floats into its own
+    column. A leaf lift, whose `_step` is the base class's, is applied here
+    and reduced inline with the operations of `_reduce_floats`, one call a
+    step; a lift that overrides `_step` gets one `_step` call a step. A
+    chunk whose floats raise, at a NaN or an infinity or at a step winding
+    past int64, runs on arrays instead."""
+    apply, step, floor = lift._apply, lift._step, math.floor
+    leaf = type(lift)._step is TorusLift._step
+    us = np.empty((len(steps), u.size // 2, 2))
+    dws = np.empty(us.shape, dtype=np.int64)
     try:
-        per_start = []
-        for x, y in u.reshape(-1, 2).tolist():
-            rows = []
-            for _ in steps:
-                rows.append(r := step(x, y, _FLOATS))
-                x, y = r[0], r[1]
-            per_start.append(rows)
-        rows = [r for at_step in zip(*per_start) for r in at_step]  # step-major, as arrays
-        x, y, kx, ky = zip(*rows)
-        us = np.empty((len(x), 2))
-        us[:, 0], us[:, 1] = x, y
-        dws = np.empty(us.shape, dtype=np.int64)
-        dws[:, 0], dws[:, 1] = kx, ky  # OverflowError past int64
+        for s, (x, y) in enumerate(u.reshape(-1, 2).tolist()):
+            xs, ys, kxs, kys = [], [], [], []
+            if leaf:
+                for _ in steps:
+                    x, y = apply(x, y, _FLOATS)
+                    kx, ky = floor(x), floor(y)
+                    x -= kx
+                    y -= ky
+                    xs.append(x)
+                    ys.append(y)
+                    kxs.append(kx)
+                    kys.append(ky)
+            else:
+                for _ in steps:
+                    x, y, kx, ky = step(x, y, _FLOATS)
+                    xs.append(x)
+                    ys.append(y)
+                    kxs.append(kx)
+                    kys.append(ky)
+            us[:, s, 0], us[:, s, 1] = xs, ys
+            dws[:, s, 0], dws[:, s, 1] = kxs, kys  # OverflowError past int64
     except (ArithmeticError, ValueError):
         w = [np.array(c) for c in _columns(w)] if np.ndim(w) else None  # summed into in place
         return _array_chunk(lift, *_columns(u), w, steps, steps, starts)[:2]

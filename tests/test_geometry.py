@@ -17,6 +17,7 @@ from rotaset import (
     polygon_area,
     polygon_diameter,
 )
+from rotaset import geometry
 from rotaset.geometry import (
     _COLLINEAR_REL_TOL,
     _PREFILTER_ABS_MARGIN,
@@ -392,3 +393,76 @@ def test_hull_equals_the_numpy_scalar_chain_on_translated_lm_averages(lm, offset
         averages = np.asarray([s.displacement_average for s in est.samples])
         assert len(_drop_deep_interior(averages)) < len(averages) // 100
         assert convex_hull(averages) == _convex_hull_reference(averages) == est.hull
+
+
+def _segment_distance_reference(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        diff = p - a
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0)
+    proj = a + t[..., None] * ab
+    diff = p - proj
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _point_to_polygon_reference(p, poly):
+    pt = np.asarray(p, dtype=float)
+    v = poly.as_array()
+    if len(v) == 1:
+        return float(np.hypot(*(pt - v[0])))
+    if len(v) == 2:
+        return float(_segment_distance_reference(pt[None, :], v[0], v[1])[0])
+    edges = list(zip(v, np.roll(v, -1, axis=0)))
+    inside = all((b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0]) >= 0.0 for a, b in edges)
+    if inside:
+        return 0.0
+    return float(min(_segment_distance_reference(pt[None, :], a, b)[0] for a, b in edges))
+
+
+def _hausdorff_reference(a, b):
+    """The Python loop over every (vertex, edge) pair, one numpy call each."""
+    d_ab = max(_point_to_polygon_reference(v, b) for v in a.vertices)
+    d_ba = max(_point_to_polygon_reference(v, a) for v in b.vertices)
+    return max(d_ab, d_ba)
+
+
+def _distance_hulls(rng):
+    """Hulls of random clouds and of points on a circle (as many vertices as
+    points) at scales 1e-6 to 1e6, segments, points, a segment whose two
+    ends are one point, and a polygon with a repeated vertex (a zero-length
+    edge)."""
+    for n in (3, 5, 24, 64):
+        for scale in (1e-6, 1.0, 1e6):
+            shift = scale * rng.standard_normal(2)
+            yield convex_hull(scale * rng.standard_normal((n, 2)) + shift)
+            yield convex_hull(scale * _on_circle(rng.random(n) * 2 * math.pi) + shift)
+    for _ in range(6):
+        yield convex_hull(rng.standard_normal(2) + np.outer(rng.standard_normal(4), rng.standard_normal(2)))
+        yield ConvexPolygon((tuple(rng.standard_normal(2)),))
+    yield ConvexPolygon(((0.25, 0.5), (0.25, 0.5)))
+    yield ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+
+
+def test_hausdorff_equals_the_per_pair_loop():
+    """Every distance, and the Hausdorff distance of every pair of hulls,
+    has the bits of the per-pair loop."""
+    rng = np.random.default_rng(20261020)
+    hulls = list(_distance_hulls(rng))
+    assert max(len(h.vertices) for h in hulls) == 64
+    for i, a in enumerate(hulls):
+        for b in hulls[i % 3 :: 3]:  # a third of the pairs, each kind of hull against each
+            assert hausdorff_distance(a, b) == _hausdorff_reference(a, b)
+        probes = np.concatenate([a.as_array(), a.as_array().mean(axis=0) + rng.standard_normal((20, 2))])
+        for p in probes:
+            assert point_to_polygon_distance(p, a) == _point_to_polygon_reference(p, a)
+
+
+def test_hausdorff_blocks_give_the_same_distance(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = convex_hull(_on_circle(rng.random(150) * 2 * math.pi))
+    b = convex_hull(_on_circle(rng.random(120) * 2 * math.pi) + 0.01)
+    whole = hausdorff_distance(a, b)
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 7)
+    assert hausdorff_distance(a, b) == whole == _hausdorff_reference(a, b)

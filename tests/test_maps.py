@@ -240,6 +240,44 @@ def test_integer_translate_windings_exact(lm, rng):
     assert np.array_equal(k_shift - k_base, np.broadcast_to([5, -3], k_base.shape))
 
 
+@dataclass(frozen=True)
+class NanOnRightHalf(TorusLift):
+    """Identity on x < 1/2, NaN on x ≥ 1/2."""
+
+    def _apply(self, x, y, op):
+        return op.select(x >= 0.5, math.nan, x), y
+
+
+# Each built-in, nested combinators, a winding past int64 and a lift whose
+# floats raise at a NaN: torus_step at batches up to maps._FLOAT_STARTS
+# (floats, or arrays after a float raises) against the same starts among
+# one more, which step on numpy columns.
+SMALL_BATCH_LIFTS = ALL_MAPS + [
+    ("compose", Composition((VerticalTentShear(-2.0), Translation(IRRATIONAL), HorizontalTentShear(0.75)))),
+    ("near-int64", IntegerTranslate(lm_map(), (2**62, -(2**62) + 1))),
+    ("nan-on-right-half", NanOnRightHalf()),
+]
+
+
+@pytest.mark.parametrize("name,f", SMALL_BATCH_LIFTS, ids=[name for name, _ in SMALL_BATCH_LIFTS])
+def test_torus_step_at_small_batches_has_the_array_bits(name, f, rng):
+    # the last start is -0.0 in x, which x - floor(x) on arrays makes 0.0;
+    # the one before lies in the NaN half of `nan-on-right-half`
+    u = rng.random((maps._FLOAT_STARTS + 1, 2))
+    u[-2:] = (0.75, 0.25), (-0.0, 0.5)
+    with np.errstate(invalid="ignore"):  # NaN windings cast to int64
+        u_all, k_all = torus_step(f, u)
+        for batch in (u[-1], u[-1:], u[-2:], u[-maps._FLOAT_STARTS :]):
+            got_u, got_k = torus_step(f, batch)
+            assert got_u.shape == got_k.shape == batch.shape and got_k.dtype == np.int64
+            rows = len(batch.reshape(-1, 2))
+            assert got_u.tobytes() == u_all[-rows:].reshape(batch.shape).tobytes()  # NaN and 0.0 too
+            assert got_k.tobytes() == k_all[-rows:].reshape(batch.shape).tobytes()
+    assert np.isnan(u_all[-2, 0]) == (name == "nan-on-right-half")
+    if name == "identity":
+        assert u_all[-1, 0] == 0.0 and not np.signbit(u_all[-1, 0])
+
+
 def _wrapped(values) -> np.ndarray:
     """Python ints as the int64 they wrap to."""
     return np.asarray([(x + 2**63) % 2**64 - 2**63 for x in values], dtype=np.int64)

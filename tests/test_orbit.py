@@ -112,11 +112,13 @@ DISK_STEPS = 2000
 def _engine_cases():
     """(lift, points, steps, starts box, reference batch, whether the
     engine steps on floats) per case."""
+    # torus_step steps batches of up to maps._FLOAT_STARTS on floats too:
+    # the reference loop runs at least one start more, on arrays
+    batch = maps._FLOAT_STARTS + 1
     for name, lift in ENGINE_LIFTS.items():
         for points, n in ENGINE_SIZES:
             on_floats = points <= maps._FLOAT_STARTS
-            yield pytest.param(lift, points, n, (0.0, 1.0), points, on_floats, id=f"{name}-{points}-{n}")
-    batch = maps._FLOAT_STARTS + 1
+            yield pytest.param(lift, points, n, (0.0, 1.0), max(points, batch), on_floats, id=f"{name}-{points}-{n}")
     for name, spec in TWO_PATH_SPECS.items():
         disk = name in ("localized-shear", "horseshoe-disk")
         n, box = (DISK_STEPS, (0.4, 0.6)) if disk else (10_000, (0.0, 1.0))
@@ -181,7 +183,7 @@ def _requested_cases():
 @pytest.mark.parametrize("lift, points, at, box", _requested_cases())
 def test_requested_steps_match_a_plain_step_loop(lift, points, at, box):
     on_floats = points <= maps._FLOAT_STARTS
-    batch = maps._FLOAT_STARTS if on_floats else ARRAY_BATCHES[-1]
+    batch = ARRAY_BATCHES[0] if on_floats else ARRAY_BATCHES[-1]  # the reference steps on arrays
     u0, us, ws = (a[..., :points, :] for a in _reference(lift, batch, at[-1], box))
     counted = CountsArraySteps(lift)
     chunks = list(maps.torus_orbit(counted, u0, at[-1], at=at))
@@ -194,6 +196,79 @@ def test_requested_steps_match_a_plain_step_loop(lift, points, at, box):
     assert got_ws.dtype == np.int64 and np.array_equal(got_ws, ws[rows])
     if isinstance(lift, IntegerTranslate):
         assert (ws[1][:, 0] < 0).any()  # wrapped past int64
+
+
+# Leaf lifts, whose `_step` is TorusLift's: the engine applies them on floats
+# and reduces inline, without a `_step` call. Unwrapped, against a plain
+# loop of torus_step on one start more than maps._FLOAT_STARTS (arrays).
+LEAF_SPECS = {
+    name: TWO_PATH_SPECS[name]
+    for name in ("identity", "translation", "rotation", "vertical-tent-shear", "horizontal-tent-shear", "localized-shear")
+}
+
+
+@pytest.mark.parametrize("points", [1, 2, maps._FLOAT_STARTS])
+@pytest.mark.parametrize("name", list(LEAF_SPECS))
+def test_leaf_lifts_step_on_floats_with_the_bits_of_a_plain_loop(name, points, monkeypatch):
+    lift = from_map_spec(LEAF_SPECS[name])
+    assert type(lift)._step is TorusLift._step
+    n, box = (DISK_STEPS, (0.4, 0.6)) if name == "localized-shear" else (10_000, (0.0, 1.0))
+    u0, us, ws = (a[..., :points, :] for a in _reference(lift, maps._FLOAT_STARTS + 1, n, box))
+    # TorusLift._step, counting its float calls: a leaf lift still resolves
+    # to it, so the engine's leaf path stays taken and must not call it
+    float_steps = []
+    base_step = TorusLift._step
+
+    def step(self, x, y, op):
+        float_steps.append(op is maps._FLOATS)
+        return base_step(self, x, y, op)
+
+    monkeypatch.setattr(TorusLift, "_step", step)
+    chunks = list(maps.torus_orbit(lift, u0, n))
+    assert not any(float_steps)
+    got_us = np.concatenate([c[1] for c in chunks])
+    got_ws = np.concatenate([c[2] for c in chunks])
+    assert got_us.shape == us.shape and got_us.tobytes() == us.tobytes()
+    assert got_ws.dtype == np.int64 and np.array_equal(got_ws, ws)
+
+
+@dataclass(frozen=True)
+class CountsFloatSteps(TorusLift):
+    """`base`, overriding `_step` to record each call made on floats."""
+
+    base: TorusLift
+    float_steps: list = field(default_factory=list, compare=False)
+
+    def _step(self, x, y, op):
+        if op is maps._FLOATS:
+            self.float_steps.append((x, y))
+        return self.base._step(x, y, op)
+
+
+@pytest.mark.parametrize("points", [1, 2, maps._FLOAT_STARTS])
+@pytest.mark.parametrize("base", [Translation(IRRATIONAL), lm_map()], ids=["translation", "lm"])
+def test_step_override_is_called_once_per_float_step(base, points):
+    n = 3000
+    u0 = np.random.default_rng(points).random((points, 2))
+    counted = CountsFloatSteps(base)
+    chunks = list(maps.torus_orbit(counted, u0, n))
+    assert len(counted.float_steps) == points * n
+    span = maps._ORBIT_CHUNK_POINTS // points  # each start steps through the chunk in turn
+    assert counted.float_steps[: span * points : span] == [tuple(u) for u in u0.tolist()]
+    for (_, us, ws), (_, us_base, ws_base) in zip(chunks, maps.torus_orbit(base, u0, n), strict=True):
+        assert us.tobytes() == us_base.tobytes() and np.array_equal(ws, ws_base)
+
+
+def test_leaf_escape_of_the_second_start_mid_chunk_names_it():
+    # two starts run 512 steps per chunk; (0.125, 0.5) escapes at step 1280,
+    # in the third chunk, and (0.0, 0.0) only at step 1536, after the last
+    lift = EscapesAtThreeQuarters()
+    assert type(lift)._step is TorusLift._step
+    starts = np.array([(0.0, 0.0), (0.125, 0.5)])
+    chunks = []
+    err = _escape(lambda: chunks.extend(maps.torus_orbit(lift, starts, 1500)))
+    assert (err.step, err.start) == (1280, (0.125, 0.5))
+    assert [c[0] for c in chunks] == [range(1, 513), range(513, 1025)]
 
 
 def test_transitivity_score_matches_a_per_step_loop():
