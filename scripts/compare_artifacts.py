@@ -6,7 +6,8 @@ difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
 properties, iterate maps and an integer translate, rotset grids that are
 walked and stepped (generic ones across block edges), cover orbits on
-both sides of the orbit engine's float/array crossover, and one round of
+both sides of the orbit engine's float/array crossover, compiled and
+interpreted on floats, and one round of
 each benchmark workload (perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
@@ -37,6 +38,12 @@ TRANSLATE_LM = json.dumps({"map": "integer_translate", "params": {"base": {"map"
 TRANSLATE_ROTATION = json.dumps({"map": "integer_translate", "params": {
     "base": {"map": "rotation", "params": {"alpha": 0.41421356, "beta": 0.73205081}}, "v": [1, -2],
 }})
+# each step adds windings near 2**62: their sums wrap past int64 by step 2
+COMPOSE_WRAPS = json.dumps({"map": "compose", "params": {"maps": [{"map": "lm"}, {
+    "map": "integer_translate", "params": {
+        "base": {"map": "rotation", "params": {"alpha": 0.41421356, "beta": 0.3}}, "v": [2**62, -(2**62) + 1],
+    },
+}]}})
 
 
 def _grid_starts(count: int, width: float) -> str:
@@ -78,11 +85,16 @@ FIXED = [
     ["rotset", "--map-json", TRANSLATE_LM, "--grid", "100", "--offset", "0.686"],
     ["entropy", "--map", "lm", "--resolution", "96"],
     # cover orbits of a few starts step on Python floats; one start more
-    # than maps._FLOAT_STARTS steps on arrays. On floats a leaf lift (here
-    # rotation) is applied and reduced by the engine, up to the largest
-    # float batch, and a lift that overrides `_step` (lm, an iterate, an
-    # integer translate) is stepped through its override.
+    # than maps._FLOAT_STARTS steps on arrays. On floats a run of at least
+    # maps._ORBIT_CHUNK_POINTS point-steps runs the lift's step traced and
+    # compiled (a leaf such as rotation, lm, an iterate, an integer
+    # translate, a compose whose windings wrap past int64), and a shorter
+    # one interprets it; one array step a chunk gives the windings.
     ["cover", "--map", "lm", "--iters", "20000", "--pgm"],
+    ["cover", "--map", "lm", "--factors", "2x1", "--iters", "500", "--resolution", "8"],
+    ["cover", "--map-json", ITERATE_LM, "--factors", "2x1", "--iters", "20000", "--resolution", "8"],
+    ["cover", "--map-json", COMPOSE_WRAPS, "--iters", "20000", "--resolution", "8",
+     "--starts", "0.3,0.7;1.6,0.2"],
     ["cover", "--map", "horseshoe_disk", "--iters", "2000", "--starts", "0.45,0.52", "--resolution", "8"],
     ["cover", "--map", "lm", "--power", "3", "--factors", "2x1", "--iters", "5000", "--resolution", "8",
      "--starts", "0.3,0.7;1.6,0.2"],

@@ -13,6 +13,7 @@ of tolerance, 2 invalid map specification / parameters / unknown property,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -359,7 +360,11 @@ def _cmd_maps_list(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process, on the first `main` call: parsing
+    leaves it as it was, and a parser per call would leave hundreds of
+    cyclic objects per call to Python's cyclic collector."""
     ap = argparse.ArgumentParser(
         prog="rotaset",
         description="Rotation sets, periodic orbits, entropy estimates, and finite coverings for torus maps.",
@@ -432,8 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _apply_config(args) if hasattr(args, "config") else None
         return args.func(args)

@@ -78,11 +78,13 @@ _ORBIT_CHUNK_POINTS = 1024
 _PROBE_STARTS = 32
 
 # Most starts the orbit engine (and `torus_step`) steps on Python floats;
-# larger batches step on numpy columns. One engine step of a batch took, on
-# a 2-vCPU x86-64 VM, 0.35 µs per start on floats and 7.2 µs on arrays for a
-# translation, and 1.4 µs per start and 17 µs for `lm` (arrays cost about
-# the same up to a few dozen starts): floats stay faster up to about 20 and
-# 12 starts. `lm`, whose `_step` is an override, sets the bound.
+# larger batches step on numpy columns. Per start-step on a 2-vCPU x86-64
+# VM, for a translation and for `lm`: a compiled float step took 0.23 and
+# 0.44 µs at any batch up to 48, an interpreted one (runs shorter than a
+# chunk, `torus_step`) 0.45 and 1.3 µs, and an array step 0.69 and 1.6 µs
+# at 10 starts, 0.43 and 0.99 µs at 16, 0.22 and 0.50 µs at 32. Compiled
+# floats stay faster up to about 30 starts, interpreted `lm` up to about
+# 12, which sets the bound.
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run, rounded down to whole grid rows (at least
@@ -101,6 +103,14 @@ _MAX_SUBSTEPS = 10_000
 # Largest `iterate` count k: a step runs k base steps, about 0.2 s for `lm`
 # at batch 1 (nested iterates multiply their counts).
 _MAX_ITERATE = 10_000
+
+# Most operations a traced float step may record (see `_trace`); a longer
+# step is interpreted. On a 2-vCPU x86-64 VM tracing and compiling cost
+# about 9 µs per operation (17 ms for the 1946 of `horseshoe_disk`), and a
+# compiled step saves 8-38 ns per operation a step, so the cost is repaid
+# within about the one chunk a run must fill to compile; the cap bounds a
+# step's source at about 0.2 s of compiling.
+_MAX_TRACE_NODES = 20_000
 
 # Built-in map name -> lift class or alias factory. Filled by declarations:
 # `class V(TorusLift, spec="name")` and `@_builtin("name")`.
@@ -142,6 +152,7 @@ class _Ops(typing.NamedTuple):
     floor: typing.Callable  # floor(t), exact to subtract from t
     select: typing.Callable  # select(cond, a, b): a where cond holds, else b
     reduce: typing.Callable  # reduce(x, y) -> (x - ⌊x⌋, y - ⌊y⌋, ⌊x⌋, ⌊y⌋), windings exact integers
+    frac: typing.Callable  # frac(t): t % 1.0, the bits of Python's float `%` on both
 
 
 def _reduce_arrays(x, y):
@@ -150,16 +161,28 @@ def _reduce_arrays(x, y):
     return np.subtract(x, kx, out=kx), np.subtract(y, ky, out=ky), wx, wy
 
 
-def _reduce_floats(x, y):
+def _reduce_floats(x, y, floor=math.floor):
     # math.floor returns an int, and t - int subtracts the same float as
     # t - np.floor(t); it raises on a NaN or an infinity, which the orbit
     # engine catches
-    kx, ky = math.floor(x), math.floor(y)
+    kx, ky = floor(x), floor(y)
     return x - kx, y - ky, kx, ky
 
 
-_ARRAYS = _Ops(np.floor, np.where, _reduce_arrays)
-_FLOATS = _Ops(math.floor, lambda cond, a, b: a if cond else b, _reduce_floats)
+def _frac_arrays(t):
+    # t - ⌊t⌋ rounds the exact t mod 1 once, as fmod and its correction in
+    # `%` do: the same bits, at 0.49 ns per element against 11.5 ns for
+    # np.remainder (2-vCPU x86-64 VM)
+    k = np.floor(t)
+    return np.subtract(t, k, out=k)
+
+
+def _frac_floats(t):
+    return t % 1.0
+
+
+_ARRAYS = _Ops(np.floor, np.where, _reduce_arrays, _frac_arrays)
+_FLOATS = _Ops(math.floor, lambda cond, a, b: a if cond else b, _reduce_floats, _frac_floats)
 
 
 def _columns(pts: np.ndarray):
@@ -257,6 +280,13 @@ class TorusLift:
         """One torus step from (x, y) in [0,1)²: (x', y', winding x, winding
         y). On arrays the windings are fresh: callers sum into them in place."""
         return op.reduce(*self._apply(x, y, op))
+
+    def __getstate__(self):
+        # the float chunk loop the orbit engine keeps on the instance is
+        # generated code, which does not pickle
+        state = dict(vars(self))
+        state.pop("_compiled", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -356,23 +386,33 @@ class LocalizedShear(TorusLift, spec="localized_shear"):
             )
         return max(1, math.ceil(need))
 
-    def _bump(self, x, y, op):
-        cx, cy = self.center
-        dx = (x - cx + 0.5) % 1.0 - 0.5
-        dy = (y - cy + 0.5) % 1.0 - 0.5
-        s2 = (dx * dx + dy * dy) / (self.radius * self.radius)
-        t = 1.0 - op.select(s2 < 1.0, s2, 1.0)
-        return t * t  # exactly 0.0 outside the disk
-
     def _apply(self, x, y, op):
         a = self.amplitude / self.substeps
+        r2 = self.radius * self.radius
+        cx, cy = self.center
+        vertical = self.axis == "vertical"
+        # the fixed coordinate's offset from the center, once per step
+        fixed = _centred(x, cx, op) if vertical else _centred(y, cy, op)
+        fixed = fixed * fixed
         for _ in range(self.substeps):
-            d = a * self._bump(x, y, op)
-            if self.axis == "vertical":
-                y = y + d
+            if vertical:
+                dy = _centred(y, cy, op)
+                y = y + a * _bump((fixed + dy * dy) / r2, op)
             else:
-                x = x + d
+                dx = _centred(x, cx, op)
+                x = x + a * _bump((dx * dx + fixed) / r2, op)
         return x, y
+
+
+def _centred(t, c, op):
+    """t - c reduced mod 1 into [-1/2, 1/2)."""
+    return op.frac(t - c + 0.5) - 0.5
+
+
+def _bump(s2, op):
+    """(1 - s2)² inside the unit disk, exactly 0.0 outside (s2 ≥ 1)."""
+    t = 1.0 - op.select(s2 < 1.0, s2, 1.0)
+    return t * t
 
 
 @dataclass(frozen=True)
@@ -526,48 +566,192 @@ def _array_chunk(lift: TorusLift, x, y, w, steps: range, at, starts: np.ndarray)
     return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape), x, y, w
 
 
-def _float_chunk(lift: TorusLift, u: np.ndarray, w, steps: range, starts: np.ndarray):
+class _Untraceable(Exception):
+    """A lift's step did what the tracer cannot record."""
+
+
+class _Tape:
+    """The float operations of one traced step, in the order it ran them.
+
+    Node i is `v{i}`: nodes 0 and 1 are the step's x and y, each later one
+    an expression of one operation on earlier nodes and on constants
+    `c{j}`, which must be Python ints or floats."""
+
+    def __init__(self):
+        self.nodes = [(None, ()), (None, ())]  # (expression, node operands)
+        self.seen = {}  # expression -> node
+        self.constants = {}  # (type, bits) -> name
+        self.namespace = {"floor": math.floor}
+
+    def name(self, value) -> str:
+        if isinstance(value, _Traced):
+            return f"v{value.node}"
+        if type(value) not in (int, float):
+            raise _Untraceable(f"a constant of type {type(value).__name__}")
+        key = (type(value), value.hex() if type(value) is float else value)  # -0.0 is not 0.0
+        if key not in self.constants:
+            self.constants[key] = f"c{len(self.constants)}"
+            self.namespace[self.constants[key]] = value
+        return self.constants[key]
+
+    def record(self, form: str, *operands):
+        if len(self.nodes) >= _MAX_TRACE_NODES:
+            raise _Untraceable("a step longer than the trace cap")
+        expression = form.format(*map(self.name, operands))
+        if expression not in self.seen:  # every operation is pure: compute it once
+            self.seen[expression] = len(self.nodes)
+            self.nodes.append((expression, tuple(o.node for o in operands if isinstance(o, _Traced))))
+        return _Traced(self, self.seen[expression])
+
+    def source(self, x, y) -> str:
+        """A function run(v0, v1, n, xs, ys) that takes n steps from the
+        point (v0, v1), passes each next x and y to xs and ys, and returns
+        the last point: the nodes x and y depend on, inlined."""
+        live = {o.node for o in (x, y) if isinstance(o, _Traced)}
+        for node in range(len(self.nodes) - 1, 1, -1):
+            if node in live:
+                live.update(self.nodes[node][1])
+        body = "".join(
+            f"        v{node} = {expression}\n"
+            for node, (expression, _) in enumerate(self.nodes)
+            if node in live and node > 1
+        )
+        out = f"{self.name(x)}, {self.name(y)}"
+        bound = "".join(f", {name}={name}" for name in self.namespace)  # locals, not globals
+        return (
+            f"def run(v0, v1, n, xs, ys{bound}):\n"
+            "    for _ in range(n):\n"
+            f"{body}"
+            f"        v0, v1 = {out}\n"
+            "        xs(v0)\n"
+            "        ys(v1)\n"
+            "    return v0, v1\n"
+        )
+
+
+class _Traced:
+    """A value of a step being traced: each operation on it records a node."""
+
+    __slots__ = ("tape", "node")
+    __array_ufunc__ = None  # numpy ufuncs and operators on it raise TypeError
+    __hash__ = None  # it defines __eq__
+
+    def __init__(self, tape: _Tape, node: int):
+        self.tape, self.node = tape, node
+
+    def __bool__(self):
+        raise _Untraceable("a branch on a traced value")
+
+    def __neg__(self):
+        return self.tape.record("-{}", self)
+
+    def __abs__(self):
+        return self.tape.record("abs({})", self)
+
+
+def _operator(form: str, reflected: bool):
+    if reflected:
+        return lambda a, b: a.tape.record(form, b, a)
+    return lambda a, b: a.tape.record(form, a, b)
+
+
+for _name, _symbol in [("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("mod", "%")]:
+    setattr(_Traced, f"__{_name}__", _operator(f"{{}} {_symbol} {{}}", False))
+    setattr(_Traced, f"__r{_name}__", _operator(f"{{}} {_symbol} {{}}", True))
+for _name, _symbol in [("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="), ("ne", "!=")]:
+    setattr(_Traced, f"__{_name}__", _operator(f"{{}} {_symbol} {{}}", False))
+
+
+def _trace_floor(t):
+    return t.tape.record("floor({})", t) if isinstance(t, _Traced) else math.floor(t)
+
+
+def _trace_select(cond, a, b):
+    if isinstance(cond, _Traced):
+        return cond.tape.record("{} if {} else {}", a, cond, b)
+    return a if cond else b
+
+
+# The operations of `_FLOATS`, recording where an operand is traced.
+_TRACING = _Ops(_trace_floor, _trace_select, lambda x, y: _reduce_floats(x, y, _trace_floor), _frac_floats)
+
+
+def _trace(lift: TorusLift):
+    """The source of a chunk loop of n float steps of `lift._step`, traced
+    once and inlined with its winding operations dropped (see
+    `_Tape.source`), and the namespace it runs in. The source names
+    constants only, so it holds no text of the lift's spec. Raises for a
+    step the tracer cannot record: one that branches on a value, calls
+    numpy or `math` on one, uses a constant that is not a Python int or
+    float, or runs more than `_MAX_TRACE_NODES` operations."""
+    tape = _Tape()
+    x, y, _, _ = lift._step(_Traced(tape, 0), _Traced(tape, 1), _TRACING)
+    return tape.source(x, y), dict(tape.namespace)
+
+
+def _compile(lift: TorusLift):
+    """`_trace`'s chunk loop, compiled; None where the tracer raises."""
+    try:
+        source, namespace = _trace(lift)
+    except Exception:  # whatever the step did to a traced value: interpret it
+        return None
+    exec(compile(source, "<traced step>", "exec"), namespace)
+    return namespace.pop("run")  # so that no cycle keeps it alive
+
+
+def _compiled(lift: TorusLift, compile_now: bool):
+    """The compiled chunk loop kept on the lift instance, compiled first if
+    `compile_now`; None where there is none or the tracer cannot record
+    the step (kept as False)."""
+    run = vars(lift).get("_compiled")
+    if run is None and compile_now:
+        run = _compile(lift) or False
+        object.__setattr__(lift, "_compiled", run)  # not a field: eq, hash and repr ignore it
+    return run or None
+
+
+def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: np.ndarray):
     """The points and cumulative windings after every step of `steps` from
     u, whose cumulative winding is w (0 before step 1), as arrays of shape
-    (steps, ..., 2), each start stepped on Python floats into its own
-    column. A leaf lift, whose `_step` is the base class's, is applied here
-    and reduced inline with the operations of `_reduce_floats`, one call a
-    step; a lift that overrides `_step` gets one `_step` call a step. A
-    chunk whose floats raise, at a NaN or an infinity or at a step winding
-    past int64, runs on arrays instead."""
-    apply, step, floor = lift._apply, lift._step, math.floor
-    leaf = type(lift)._step is TorusLift._step
-    us = np.empty((len(steps), u.size // 2, 2))
-    dws = np.empty(us.shape, dtype=np.int64)
+    (steps, ..., 2). Each start steps on Python floats into its own row:
+    through `run`, a compiled chunk loop that keeps points only, or else
+    one `lift._step` call a step, which keeps its windings too. Where the
+    windings are not kept, or one passes int64, one `lift._step` on arrays
+    over every step's previous point, all starts stacked, gives them, with
+    the bits of the array regime, where they wrap as int64. A chunk whose
+    floats raise, at a NaN or an infinity, runs on arrays instead."""
+    m, step = len(steps), lift._step
+    rows = np.empty((u.size // 2, 2, m + 1))  # per start: x then y, from u on
+    kept = []  # per start, where interpreted: its x and y windings
     try:
         for s, (x, y) in enumerate(u.reshape(-1, 2).tolist()):
-            xs, ys, kxs, kys = [], [], [], []
-            if leaf:
-                for _ in steps:
-                    x, y = apply(x, y, _FLOATS)
-                    kx, ky = floor(x), floor(y)
-                    x -= kx
-                    y -= ky
-                    xs.append(x)
-                    ys.append(y)
-                    kxs.append(kx)
-                    kys.append(ky)
+            xs, ys = [x], [y]
+            if run:
+                run(x, y, m, xs.append, ys.append)
             else:
+                kxs, kys = [], []
                 for _ in steps:
                     x, y, kx, ky = step(x, y, _FLOATS)
                     xs.append(x)
                     ys.append(y)
                     kxs.append(kx)
                     kys.append(ky)
-            us[:, s, 0], us[:, s, 1] = xs, ys
-            dws[:, s, 0], dws[:, s, 1] = kxs, kys  # OverflowError past int64
+                kept.append((kxs, kys))
+            rows[s, 0], rows[s, 1] = xs, ys
     except (ArithmeticError, ValueError):
         w = [np.array(c) for c in _columns(w)] if np.ndim(w) else None  # summed into in place
         return _array_chunk(lift, *_columns(u), w, steps, steps, starts)[:2]
-    shape = (len(steps),) + u.shape
-    ws = np.cumsum(dws.reshape(shape), axis=0)
+    try:
+        dws = np.array(kept, dtype=np.int64) if kept else None  # (starts, 2, m)
+    except OverflowError:
+        dws = None
+    if dws is None:
+        _, _, kx, ky = step(rows[:, 0, :-1].ravel(), rows[:, 1, :-1].ravel(), _ARRAYS)
+        dws = np.stack((kx.reshape(-1, m), ky.reshape(-1, m)), axis=1)
+    shape = (m,) + u.shape
+    ws = np.cumsum(dws, axis=2).transpose(2, 0, 1).reshape(shape)
     ws += w
-    return us.reshape(shape), ws
+    return rows[:, :, 1:].transpose(2, 0, 1).reshape(shape), ws
 
 
 def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
@@ -583,7 +767,10 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     as given in `starts` (the caller's points; default u0).
 
     Batches of at most `_FLOAT_STARTS` starts step on Python floats in
-    chunks of every step, from which the steps in `at` are picked. Larger
+    chunks of every step, from which the steps in `at` are picked: through
+    the lift's step compiled once (`_compile`) when the run fills at least
+    one chunk, else interpreted (see `_float_chunk`). A start of -0.0
+    steps as 0.0, as on arrays. Larger
     batches step on numpy columns: x, y and the windings stay 1-d arrays
     for the whole run, each step is one `lift._step` plus an in-place
     winding sum, and points are built only at the steps in `at`. Both give
@@ -593,13 +780,16 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     span = max(1, _ORBIT_CHUNK_POINTS // max(1, points))
     at = range(1, n + 1) if at is None else at
     starts = u0 if starts is None else np.reshape(starts, u0.shape)
+    u0 = u0 + 0.0  # a -0.0 start to 0.0, as an array step reduces it
     if 0 < points <= _FLOAT_STARTS:
+        # a run shorter than one chunk is not worth compiling
+        run = _compiled(lift, n * points >= _ORBIT_CHUNK_POINTS)
         u, w = u0, 0  # the cumulative winding before step 1
         for first in range(1, n + 1, span):
             steps = range(first, min(first + span, n + 1))
-            # escaped points have NaN windings; their cast must not warn
+            # escaped points, and windings past int64, must not warn in a cast
             with np.errstate(invalid="ignore"):
-                us, ws = _float_chunk(lift, u, w, steps, starts)
+                us, ws = _float_chunk(lift, run, u, w, steps, starts)
             u, w = us[-1], ws[-1]
             picked = at[bisect.bisect_left(at, first) : bisect.bisect_left(at, steps.stop)]
             if len(picked) == len(steps):

@@ -112,7 +112,8 @@ class ParityCertificate(NamedTuple):
 
 
 def _torus_dist_inf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b) % 1.0
+    d = np.abs(a - b)
+    d -= np.floor(d)  # the bits of d % 1.0 (both exact for d ≥ 0), at a twentieth of its cost
     d = np.minimum(d, 1.0 - d)
     return np.maximum(d[..., 0], d[..., 1])  # a reduce over axis -1 is slower
 

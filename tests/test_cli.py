@@ -473,3 +473,43 @@ def test_config_value_that_does_not_fit_exits_2(tmp_path, overrides, key):
     assert r.returncode == 2, r.stderr
     assert f"--config key {key!r}" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+# Runs of one process in turn: artifacts, a --config override, a --config
+# key that fits no flag, an unknown map and an argparse error (all exit 2),
+# then artifacts again. The parser is built once per process and reused.
+ONE_PROCESS_RUNS = [
+    ["rotset", "--map", "lm", "--grid", "8", "--horizons", "10,20", "--csv"],
+    ["rotset", "--map", "lm", "--grid", "64", "--horizons", "100,2000", "--config", "cfg.json"],
+    ["rotset", "--map", "lm", "--grid", "4", "--horizons", "1,2", "--config", "bad.json"],
+    ["rotset", "--map", "wat"],
+    ["cover", "--map", "lm", "--iters"],
+    ["cover", "--map", "rotation", "--alpha", "0.41421356", "--beta", "0.3", "--factors", "2x1",
+     "--iters", "3000", "--resolution", "8", "--pgm"],
+    ["periodic", "--map", "lm", "--period", "1", "--box", "1", "--seeds", "4"],
+    ["rotset", "--map", "lm", "--grid", "64", "--horizons", "100,2000", "--config", "cfg.json", "--svg"],
+]
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.is_dir() else {}
+
+
+def test_one_process_runs_commands_as_separate_processes_do(tmp_path, monkeypatch, capsys):
+    from rotaset import cli
+
+    (tmp_path / "cfg.json").write_text(json.dumps({"grid": "8", "horizons": "50,100"}))
+    (tmp_path / "bad.json").write_text(json.dumps({"no_such_flag": 1}))
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for i, args in enumerate(ONE_PROCESS_RUNS):
+        try:
+            codes.append(cli.main([*args, "--out", f"in{i}"]))
+        except SystemExit as exc:  # argparse's own exit
+            codes.append(exc.code)
+        out, err = capsys.readouterr()
+        r = run_cli([*args, "--out", f"sub{i}"], tmp_path)
+        assert (codes[-1], out, err) == (r.returncode, r.stdout, r.stderr), args
+        assert _outputs(tmp_path / f"in{i}") == _outputs(tmp_path / f"sub{i}"), args
+    assert codes == [0, 0, 2, 2, 2, 0, 0, 0]
+    assert cli._build_parser() is cli._build_parser()

@@ -5,9 +5,11 @@ escaped there, without a warning on the way. Grid runs give the same
 results and errors at any block size."""
 import copy
 import functools
+import json
 import math
 import pickle
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from rotaset import (
     BASE_TORUS,
     FOUR_FOLD,
+    Identity,
     IntegerTranslate,
     Iterate,
     IterationError,
@@ -79,7 +82,7 @@ ENGINE_LIFTS = {
 # torus_step, the plain loop's step, on arrays: every built-in spec and
 # nested combinators, at batches 1, 2 and the first batch on arrays. The
 # windings of `near-int64` wrap past 2**63, and each step of `nested` adds
-# windings past it, so its float chunks fall back to arrays.
+# windings past it: on floats too, they come from one array step a chunk.
 NEAR_INT64 = [2**62, -(2**62) + 1]
 VSHEAR = {"map": "vertical_tent_shear", "params": {"amplitude": -2}}
 HSHEAR = {"map": "horizontal_tent_shear", "params": {"amplitude": 0.75}}
@@ -123,7 +126,7 @@ def _engine_cases():
         disk = name in ("localized-shear", "horseshoe-disk")
         n, box = (DISK_STEPS, (0.4, 0.6)) if disk else (10_000, (0.0, 1.0))
         for points in (1, 2, batch):
-            on_floats = points < batch and name != "nested"
+            on_floats = points < batch
             yield pytest.param(from_map_spec(spec), points, n, box, batch, on_floats, id=f"{name}-{points}-{n}")
 
 
@@ -142,7 +145,8 @@ def test_torus_orbit_matches_a_plain_step_loop(lift, points, n, box, batch, on_f
     u0, us, ws = (a[..., :points, :] for a in _reference(lift, batch, n, box))
     counted = CountsArraySteps(lift)
     chunks = list(maps.torus_orbit(counted, u0, n))
-    assert counted.array_steps == ([] if on_floats else [points] * n)
+    # on floats, one array step over a chunk's points gives its windings
+    assert counted.array_steps == ([points * len(steps) for steps, _, _ in chunks] if on_floats else [points] * n)
     span = max(1, maps._ORBIT_CHUNK_POINTS // points)
     assert [len(steps) for steps, _, _ in chunks][:-1] == [span] * (len(chunks) - 1)
     assert [k for steps, _, _ in chunks for k in steps] == list(range(1, n + 1))
@@ -187,7 +191,11 @@ def test_requested_steps_match_a_plain_step_loop(lift, points, at, box):
     u0, us, ws = (a[..., :points, :] for a in _reference(lift, batch, at[-1], box))
     counted = CountsArraySteps(lift)
     chunks = list(maps.torus_orbit(counted, u0, at[-1], at=at))
-    assert counted.array_steps == ([] if on_floats else [points] * at[-1])
+    array_steps = [points] * at[-1]
+    if on_floats:  # one array step over a chunk's points gives its windings
+        span = maps._ORBIT_CHUNK_POINTS // points
+        array_steps = [points * len(range(k, at[-1] + 1)[:span]) for k in range(1, at[-1] + 1, span)]
+    assert counted.array_steps == array_steps
     assert [k for steps, _, _ in chunks for k in steps] == list(at)
     got_us = np.concatenate([c[1] for c in chunks])
     got_ws = np.concatenate([c[2] for c in chunks])
@@ -198,9 +206,10 @@ def test_requested_steps_match_a_plain_step_loop(lift, points, at, box):
         assert (ws[1][:, 0] < 0).any()  # wrapped past int64
 
 
-# Leaf lifts, whose `_step` is TorusLift's: the engine applies them on floats
-# and reduces inline, without a `_step` call. Unwrapped, against a plain
-# loop of torus_step on one start more than maps._FLOAT_STARTS (arrays).
+# Leaf lifts, whose `_step` is TorusLift's: the engine traces their step
+# once and runs it compiled, without a `_step` call on floats. Unwrapped,
+# against a plain loop of torus_step on one start more than
+# maps._FLOAT_STARTS (arrays).
 LEAF_SPECS = {
     name: TWO_PATH_SPECS[name]
     for name in ("identity", "translation", "rotation", "vertical-tent-shear", "horizontal-tent-shear", "localized-shear")
@@ -215,7 +224,7 @@ def test_leaf_lifts_step_on_floats_with_the_bits_of_a_plain_loop(name, points, m
     n, box = (DISK_STEPS, (0.4, 0.6)) if name == "localized-shear" else (10_000, (0.0, 1.0))
     u0, us, ws = (a[..., :points, :] for a in _reference(lift, maps._FLOAT_STARTS + 1, n, box))
     # TorusLift._step, counting its float calls: a leaf lift still resolves
-    # to it, so the engine's leaf path stays taken and must not call it
+    # to it, and the compiled loop must not call it
     float_steps = []
     base_step = TorusLift._step
 
@@ -252,11 +261,150 @@ def test_step_override_is_called_once_per_float_step(base, points):
     u0 = np.random.default_rng(points).random((points, 2))
     counted = CountsFloatSteps(base)
     chunks = list(maps.torus_orbit(counted, u0, n))
-    assert len(counted.float_steps) == points * n
-    span = maps._ORBIT_CHUNK_POINTS // points  # each start steps through the chunk in turn
-    assert counted.float_steps[: span * points : span] == [tuple(u) for u in u0.tolist()]
+    assert counted.float_steps == []  # traced once and compiled: never called on floats
     for (_, us, ws), (_, us_base, ws_base) in zip(chunks, maps.torus_orbit(base, u0, n), strict=True):
         assert us.tobytes() == us_base.tobytes() and np.array_equal(ws, ws_base)
+
+
+# --- compiled float steps ----------------------------------------------------
+
+def _orbit(lift, u0, n):
+    """The points and windings of every step of torus_orbit, concatenated."""
+    chunks = list(maps.torus_orbit(lift, u0, n))
+    return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])
+
+
+def _interpreted(monkeypatch):
+    """Every lift built after this call steps on floats through its `_step`."""
+    monkeypatch.setattr(maps, "_compile", lambda lift: None)
+
+
+@pytest.mark.parametrize("points", [1, 2, maps._FLOAT_STARTS])
+@pytest.mark.parametrize("name", list(TWO_PATH_SPECS))
+def test_compiled_float_steps_match_the_interpreted_loop(name, points, monkeypatch):
+    n, box = (DISK_STEPS, (0.4, 0.6)) if name in ("localized-shear", "horseshoe-disk") else (10_000, (0.0, 1.0))
+    lo, hi = box
+    u0 = lo + (hi - lo) * np.random.default_rng(points).random((points, 2))
+    lift = from_map_spec(TWO_PATH_SPECS[name])
+    us, ws = _orbit(lift, u0, n)
+    assert callable(vars(lift)["_compiled"])
+    _interpreted(monkeypatch)
+    plain = from_map_spec(TWO_PATH_SPECS[name])
+    plain_us, plain_ws = _orbit(plain, u0, n)
+    assert vars(plain)["_compiled"] is False
+    assert us.tobytes() == plain_us.tobytes()
+    assert ws.dtype == np.int64 and np.array_equal(ws, plain_ws)
+    if name in ("near-int64", "nested"):
+        assert (ws[:2, :, 0] < 0).any()  # wrapped past int64
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_compiled_escape_names_the_interpreted_step_and_start(value, monkeypatch):
+    # two starts run 512 steps per chunk; the second escapes first, at step
+    # 1280, in the third chunk
+    starts = np.array([(0.0, 0.0), (0.125, 0.5)])
+    lift = EscapesAtThreeQuarters(value)
+    err = _escape(lambda: list(maps.torus_orbit(lift, starts, 3000)))
+    assert callable(vars(lift)["_compiled"])
+    _interpreted(monkeypatch)
+    plain = _escape(lambda: list(maps.torus_orbit(EscapesAtThreeQuarters(value), starts, 3000)))
+    assert (err.step, err.start) == (plain.step, plain.start) == (1280, (0.125, 0.5))
+
+
+def test_generated_source_holds_no_spec_text():
+    shear = {"map": "localized_shear", "params": {
+        "center": [0.3141592, 0.2718281], "radius": 0.0123, "amplitude": 0.0456, "axis": "horizontal",
+    }}
+    spec = {"map": "integer_translate", "params": {"base": {"map": "compose", "params": {"maps": [
+        {"map": "translation", "params": {"v": [0.1234567, 0.7654321]}}, shear,
+    ]}}, "v": [12345, -6789]}}
+    source, namespace = maps._trace(from_map_spec(spec))
+    assert 0.1234567 in namespace.values() and 0.3141592 in namespace.values()  # bound by name
+    text = json.dumps(spec)
+    for word in ["map", "params", "integer_translate", "compose", "translation", "localized_shear",
+                 "center", "radius", "amplitude", "axis", "horizontal", "0.1234567", "0.7654321",
+                 "0.3141592", "0.2718281", "0.0123", "0.0456", "12345", "6789"]:
+        assert word in text and word not in source
+
+
+@dataclass(frozen=True)
+class DiagonalShift(TorusLift):
+    """The README's example variant, unregistered."""
+
+    t: float = 0.25
+
+    def _apply(self, x, y, op):
+        return x + self.t, y + self.t
+
+
+@dataclass(frozen=True)
+class CallsNumpy(TorusLift):
+    """A shift by (1/4, 1/8) reduced by a numpy call, not by `op.floor`."""
+
+    def _apply(self, x, y, op):
+        x = x + 0.25
+        return x - np.floor(x), y + 0.125
+
+
+@dataclass(frozen=True)
+class BranchesOnAValue(TorusLift):
+    """A float-only shift that branches on the point."""
+
+    def _apply(self, x, y, op):
+        return (x + 0.25, y) if x < 0.5 else (x, y + 0.25)
+
+
+def test_a_step_that_branches_on_a_value_is_not_compiled():
+    assert maps._compile(BranchesOnAValue()) is None
+    assert maps._compile(Translation(IRRATIONAL)) is not None
+
+
+@pytest.mark.parametrize(
+    "lift, compiled",
+    [
+        pytest.param(DiagonalShift(), True, id="readme-diagonal-shift"),
+        pytest.param(DiagonalShift(np.float64(0.25)), False, id="numpy-scalar-constant"),
+        pytest.param(CallsNumpy(), False, id="numpy-call"),
+        pytest.param(lm_map(), False, id="past-the-node-cap"),
+        # each step's x winding passes int64: taken from arrays
+        pytest.param(from_map_spec(TWO_PATH_SPECS["nested"]), False, id="past-the-node-cap-and-int64"),
+    ],
+)
+def test_untraceable_steps_run_interpreted_with_the_bits_of_a_plain_loop(lift, compiled, monkeypatch):
+    monkeypatch.setattr(maps, "_MAX_TRACE_NODES", 20)  # lm's step records 22 operations
+    u0, us, ws = (a[..., :2, :] for a in _reference(lift, maps._FLOAT_STARTS + 1, 2000, (0.0, 1.0)))
+    got_us, got_ws = _orbit(lift, u0, 2000)
+    assert callable(vars(lift)["_compiled"]) if compiled else vars(lift)["_compiled"] is False
+    assert got_us.tobytes() == us.tobytes() and np.array_equal(got_ws, ws)
+
+
+@pytest.mark.parametrize("points", [1, 3, maps._FLOAT_STARTS])
+def test_only_runs_of_a_full_chunk_compile(points):
+    # shorter runs, such as the residuals of found periodic orbits, would
+    # pay more to compile than to interpret
+    n = -(-maps._ORBIT_CHUNK_POINTS // points)  # the fewest steps that fill a chunk
+    lift = lm_map()
+    _orbit(lift, np.full((points, 2), 0.3), n - 1)
+    assert "_compiled" not in vars(lift)
+    _orbit(lift, np.full((points, 2), 0.3), n)
+    assert callable(vars(lift)["_compiled"])
+
+
+def test_a_dropped_lift_frees_its_compiled_step():
+    lift = lm_map()
+    _orbit(lift, np.array([[0.2, 0.3]]), maps._ORBIT_CHUNK_POINTS)
+    run = weakref.ref(vars(lift)["_compiled"])
+    assert pickle.loads(pickle.dumps(lift)) == lift  # the compiled step is not pickled
+    del lift
+    assert run() is None  # no cycle: freed without the cyclic collector
+
+
+@pytest.mark.parametrize("points", [1, maps._FLOAT_STARTS + 1], ids=["floats", "arrays"])
+def test_a_negative_zero_start_steps_as_zero_on_both_regimes(points):
+    u0 = np.tile([-0.0, 0.5], (points, 1))
+    [(_, us, ws)] = maps.torus_orbit(Identity(), u0, 1)
+    assert us.tobytes() == np.tile([0.0, 0.5], (1, points, 1)).tobytes()
+    assert not ws.any()
 
 
 def test_leaf_escape_of_the_second_start_mid_chunk_names_it():
