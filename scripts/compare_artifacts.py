@@ -78,12 +78,15 @@ FIXED = [
     ["rotset", "--map", "lm", "--csv", "--svg"],
     ["rotset", "--map", "lm", "--grid", "31", "--horizons", "100,500"],
     ["rotset", "--map", "identity", "--grid", "16"],
-    # generic starts, stepped across a block edge: the default grid's two
-    # blocks, blocks of 81 rows of 100 and a one-row-short last block
-    # (entropy at resolution 96: 85 rows, then 11)
+    # generic starts, stepped in blocks of maps._BLOCK_POINTS = 8192 starts
+    # across a block edge: the default grid's two blocks of 64 whole rows;
+    # blocks that end mid-row, 8192 starts of a 100² grid, then 1808 (and
+    # entropy at resolution 96: 8192, then 1024); a single row of 9000
+    # starts, longer than a block
     ["rotset", "--map", "lm", "--offset", "0.37"],
     ["rotset", "--map-json", TRANSLATE_LM, "--grid", "100", "--offset", "0.686"],
     ["entropy", "--map", "lm", "--resolution", "96"],
+    ["rotset", "--map", "lm", "--grid", "1x9000", "--offset", "0.37", "--horizons", "1,2"],
     # cover orbits of a few starts step on Python floats; one start more
     # than maps._FLOAT_STARTS steps on arrays. On floats a run of at least
     # maps._ORBIT_CHUNK_POINTS point-steps runs the lift's step traced and

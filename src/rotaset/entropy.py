@@ -101,8 +101,8 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int) -> np.ndarray:
 
     Candidates are (i/res, j/res) in row-major order; column k holds the
     k-th image, so slicing [:, :n] gives exactly the points entering an
-    n-step dynamical distance. The candidates advance in blocks of whole
-    grid rows, one after another (`run_in_blocks`).
+    n-step dynamical distance. The candidates advance in blocks, one after
+    another (`run_in_blocks`).
     """
     res = int(resolution)
     u0 = grid_starts(res, res, 0.0)
@@ -114,7 +114,7 @@ def orbit_table(lift: TorusLift, resolution: int, depth: int) -> np.ndarray:
             out[:, steps.start : steps.stop] = us.swapaxes(0, 1)
         return out
 
-    return np.concatenate(run_in_blocks(fill, u0, res))
+    return np.concatenate(run_in_blocks(fill, u0))
 
 
 def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) -> tuple[int, ...]:

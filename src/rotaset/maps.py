@@ -10,7 +10,7 @@ point as Python floats, with the same bits.
 Evaluation is pure. Grid runs (`run_in_blocks`) advance their blocks of
 starts one after another on the calling thread.
 
-Two evaluation paths are provided:
+The evaluation entry points:
 
 * ``eval_lift`` — plain planar evaluation.
 * ``torus_step`` — one step of the projected torus dynamics on points in
@@ -18,6 +18,11 @@ Two evaluation paths are provided:
   exact int64, so orbit bookkeeping that must respect the algebraic
   identities (integer translates, iterates, covering lifts) does not lose
   them to float rounding.
+* ``torus_orbit`` — the orbit engine: n such steps from a batch of starts,
+  yielded in chunks at the step counts a caller names.
+* ``walk_closed_grid`` — the same orbits of a grid of starts that one step
+  maps bit for bit onto itself, walked on grid indices.
+* ``iterate`` — n-fold planar evaluation, through the orbit engine.
 """
 from __future__ import annotations
 
@@ -67,32 +72,30 @@ _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 # also the unit that runs again on arrays when a step raises, so a float
 # step needs no finiteness check of its own; arrays are checked every step.
 # A chunk's arrays live until its caller moves on, so this bounds memory.
-# Covering runs of 10^5 rotation steps took, on a 2-vCPU x86-64 VM, 0.041 s
-# (one start) and 0.080 s (two) at 1024, against 0.047 and 0.10 s at 256 and
-# 0.037 and 0.073-0.11 s at 4096 (medians of 9, three processes each).
+# Covering runs of 10^5 rotation steps, each on a fresh lift that compiles
+# its step, took on a 2-vCPU x86-64 VM 0.043 s (one start) and 0.088 s (two)
+# at 1024, against 0.056 and 0.12 s at 256 and 0.038 and 0.077 s at 4096
+# (medians of 18, six processes each). 4096 would save about a tenth of
+# such a run, for four times the arrays and four times the run a float
+# orbit must fill before it compiles.
 _ORBIT_CHUNK_POINTS = 1024
-
-# Grid starts whose images `walk_closed_grid` checks before it steps the
-# whole grid: a grid that is not closed is then rejected for one step of
-# this many points, 0.04 ms for `lm` at 128² on a 2-vCPU x86-64 VM.
-_PROBE_STARTS = 32
 
 # Most starts the orbit engine (and `torus_step`) steps on Python floats;
 # larger batches step on numpy columns. Per start-step on a 2-vCPU x86-64
 # VM, for a translation and for `lm`: a compiled float step took 0.23 and
-# 0.44 µs at any batch up to 48, an interpreted one (runs shorter than a
-# chunk, `torus_step`) 0.45 and 1.3 µs, and an array step 0.69 and 1.6 µs
-# at 10 starts, 0.43 and 0.99 µs at 16, 0.22 and 0.50 µs at 32. Compiled
-# floats stay faster up to about 30 starts, interpreted `lm` up to about
-# 12, which sets the bound.
+# 0.44 µs at any batch up to 48, an interpreted one (`torus_step`, and runs
+# shorter than a chunk on a lift not yet compiled) 0.45 and 1.3 µs, and an
+# array step 0.69 and 1.6 µs at 10 starts, 0.43 and 0.99 µs at 16, 0.22
+# and 0.50 µs at 32. Compiled floats stay faster up to about 30 starts,
+# interpreted `lm` up to about 12, which sets the bound.
 _FLOAT_STARTS = 10
 
-# Starts per block of a grid run, rounded down to whole grid rows (at least
-# one): a block's columns and per-step temporaries then stay in cache. On a
-# 2-vCPU x86-64 VM, a generic-offset `rotset` of `integer_translate(lm,
-# (2, -1))` (128², horizons 100, 500, 2000) took 0.31 s as one batch of
-# 16384, 0.29 s in blocks of 8192, 0.33 s in blocks of 12288 (8192 + 4096),
-# 0.36 s in blocks of 4096 and 0.49 s in blocks of 2048 (medians of 5).
+# Starts per block of a grid run: a block's columns and per-step
+# temporaries then stay in cache. On a 2-vCPU x86-64 VM, a generic-offset
+# `rotset` of `integer_translate(lm, (2, -1))` (128², horizons 100, 500,
+# 2000) took 0.41 s in blocks of 8192, against 0.62 s as one batch of
+# 16384, 0.59 s in blocks of 12288 (then 4096) and 0.53 s in blocks of 4096
+# (medians of 7, one process each).
 _BLOCK_POINTS = 8192
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
@@ -552,16 +555,13 @@ def _array_chunk(lift: TorusLift, x, y, w, steps: range, at, starts: np.ndarray)
             wx, wy = w
             wx += kx
             wy += ky
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            i = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[0]
+            raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[i]))
         if k == pick:
             us[t, 0], us[t, 1] = x, y
             ws[t, 0], ws[t, 1] = w
-            finite = np.isfinite(us[t]).all()  # both columns in one check
             t, pick = next(picks, (0, 0))
-        else:
-            finite = np.isfinite(x).all() and np.isfinite(y).all()
-        if not finite:
-            i = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[0]
-            raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[i]))
     shape = (len(at),) + starts.shape
     return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape), x, y, w
 
@@ -768,9 +768,12 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
 
     Batches of at most `_FLOAT_STARTS` starts step on Python floats in
     chunks of every step, from which the steps in `at` are picked: through
-    the lift's step compiled once (`_compile`) when the run fills at least
-    one chunk, else interpreted (see `_float_chunk`). A start of -0.0
-    steps as 0.0, as on arrays. Larger
+    the lift's compiled step (`_compile`) where the lift instance keeps
+    one, else interpreted (see `_float_chunk`). A run that fills at least
+    one chunk compiles the step and keeps it on the instance, so every
+    later run on it uses the compiled step, however short; a step the
+    tracer cannot record is always interpreted. A start of -0.0 steps as
+    0.0, as on arrays. Larger
     batches step on numpy columns: x, y and the windings stay 1-d arrays
     for the whole run, each step is one `lift._step` plus an in-place
     winding sum, and points are built only at the steps in `at`. Both give
@@ -782,7 +785,7 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     starts = u0 if starts is None else np.reshape(starts, u0.shape)
     u0 = u0 + 0.0  # a -0.0 start to 0.0, as an array step reduces it
     if 0 < points <= _FLOAT_STARTS:
-        # a run shorter than one chunk is not worth compiling
+        # a run shorter than one chunk compiles nothing, but runs a kept loop
         run = _compiled(lift, n * points >= _ORBIT_CHUNK_POINTS)
         u, w = u0, 0  # the cumulative winding before step 1
         for first in range(1, n + 1, span):
@@ -811,21 +814,19 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
             _array_chunk(lift, x, y, w, range(first, n + 1), (), starts)
 
 
-def run_in_blocks(fn, u0: np.ndarray, row_len: int) -> list:
-    """fn on consecutive blocks of u0, a grid of rows of `row_len` starts;
-    the results in block order.
+def run_in_blocks(fn, u0: np.ndarray) -> list:
+    """fn on consecutive blocks of `_BLOCK_POINTS` starts of u0, one after
+    another; the results in block order.
 
-    A block holds the whole rows that fit in `_BLOCK_POINTS` starts, at
-    least one, and the blocks run one after another. When blocks escape,
-    the earliest (step, block) error is raised, the one a single pass over
-    u0 raises: a later block can escape at an earlier step, so every block
-    runs.
+    Each start's arithmetic is elementwise, so any contiguous split gives
+    the same bits. When blocks escape, the earliest (step, block) error is
+    raised, the one a single pass over u0 raises: a later block can escape
+    at an earlier step, so every block runs.
     """
-    size = max(1, _BLOCK_POINTS // row_len) * row_len
     results, escapes = [], []
-    for i in range(0, len(u0), size):
+    for i in range(0, len(u0), _BLOCK_POINTS):
         try:
-            results.append(fn(u0[i : i + size]))
+            results.append(fn(u0[i : i + _BLOCK_POINTS]))
         except IterationError as e:
             escapes.append(e)
     if escapes:
@@ -845,15 +846,15 @@ def _grid_points(at: np.ndarray, rows: int, cols: int, offset: float) -> np.ndar
     return np.stack([(i + offset) / rows, (j + offset) / cols], axis=-1)
 
 
-def _grid_successor(lift: TorusLift, rows: int, cols: int, offset: float, at: np.ndarray):
-    """(σ, w) when one torus step maps each grid start at index at[k] bit
-    for bit onto the grid start at index σ[k], with int64 winding w[k];
+def _grid_successor(lift: TorusLift, rows: int, cols: int, offset: float):
+    """(σ, w) when one torus step maps each start k of grid_starts(rows,
+    cols, offset) bit for bit onto the start σ[k], with int64 winding w[k];
     else None. The nearest grid index of each image is checked against the
     image's bits, so -0.0 is not 0.0, and a NaN or an infinity matches no
     start."""
     # escaped points have NaN windings; their cast must not warn
     with np.errstate(invalid="ignore"):
-        image, w = torus_step(lift, _grid_points(at, rows, cols, offset))
+        image, w = torus_step(lift, grid_starts(rows, cols, offset))
     if not np.isfinite(image).all():
         return None
     x, y = _columns(image)
@@ -868,9 +869,8 @@ def walk_closed_grid(lift: TorusLift, rows: int, cols: int, offset: float, steps
     """`torus_orbit`'s points and cumulative windings from the starts
     grid_starts(rows, cols, offset) after each step count in `steps`
     (ascending), as one chunk (steps, us, ws), when one step maps the grid
-    bit for bit onto itself; else None. The images of `_PROBE_STARTS`
-    starts spread over the grid are checked first, so most grids that are
-    not closed cost one step of that many points.
+    bit for bit onto itself; else None. The check is one step of the
+    whole grid, so a grid that is not closed costs that one step.
 
     A step is a pure function of a point's bits, so on a closed grid an
     orbit is a walk on grid indices: σ^h and its windings W_h come from
@@ -881,10 +881,7 @@ def walk_closed_grid(lift: TorusLift, rows: int, cols: int, offset: float, steps
     of integer amplitude map the grids of a power of two at offset 0 onto
     themselves, with exact float steps.
     """
-    probe = np.linspace(0, rows * cols - 1, _PROBE_STARTS, dtype=np.intp)
-    if _grid_successor(lift, rows, cols, offset, probe) is None:
-        return None
-    closed = _grid_successor(lift, rows, cols, offset, np.arange(rows * cols))
+    closed = _grid_successor(lift, rows, cols, offset)
     if closed is None:
         return None
     power, wpower = closed  # σ^(2^k) and the windings of its 2^k steps

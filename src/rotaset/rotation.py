@@ -171,7 +171,7 @@ def estimate_rotation_set(
     (`walk_closed_grid`): a step is a pure function of a point's bits and
     the int64 windings add associatively, so the walk gives the stepped
     bits in O(log horizon) array passes. Any other grid advances in blocks
-    of whole grid rows, one after another (`run_in_blocks`), and the orbit
+    of starts, one after another (`run_in_blocks`), and the orbit
     engine builds each block's points only at the horizons. The result is
     deterministic for fixed inputs and independent of the blocks: samples
     are indexed by grid position and all per-sample arithmetic is
@@ -194,7 +194,7 @@ def estimate_rotation_set(
     if walk is not None:
         avgs = _orbit_averages([walk], u0)
     else:
-        parts = run_in_blocks(lambda b: _orbit_averages(torus_orbit(lift, b, horizons[-1], at=horizons), b), u0, cols)
+        parts = run_in_blocks(lambda b: _orbit_averages(torus_orbit(lift, b, horizons[-1], at=horizons), b), u0)
         avgs = [np.concatenate(per_block) for per_block in zip(*parts)]
 
     per_hulls = tuple(convex_hull(a) for a in avgs)

@@ -583,13 +583,14 @@ def test_grid_run_escape_is_the_earliest(run):
 # 64 starts, orbit_table rows of 120. Both have a grid row at x = 4/5.
 ROTSET_GRID = (160, 64)
 TABLE_RES = 120
-# Grid rows per block; None keeps the default _BLOCK_POINTS.
-BLOCK_ROWS = [1, 3, None]
+# Grid rows per block; None keeps the default _BLOCK_POINTS. Blocks of 1.5
+# rows end mid-row.
+BLOCK_ROWS = [1, 1.5, 3, None]
 
 
 def _set_block_rows(monkeypatch, rows, row_len):
     if rows is not None:
-        monkeypatch.setattr(maps, "_BLOCK_POINTS", rows * row_len)
+        monkeypatch.setattr(maps, "_BLOCK_POINTS", int(rows * row_len))
 
 
 def test_block_grids_span_several_default_blocks():

@@ -306,15 +306,15 @@ def test_closed_grid_walk_wraps_windings_as_the_steps_do():
 @pytest.mark.parametrize(
     "lift, grid, offset, steps",
     [
-        pytest.param(lm_map(), (32, 32), 0.37, [32], id="lm-offset"),
-        pytest.param(lm_map(), (31, 31), 0.0, [32], id="lm-grid-31"),
-        pytest.param(horseshoe_disk(), (8, 8), 0.0, [32], id="horseshoe-disk"),
-        pytest.param(ShiftsAllButOne(), (16, 16), 0.0, [32, 256], id="all-but-one"),
+        pytest.param(lm_map(), (32, 32), 0.37, [1024], id="lm-offset"),
+        pytest.param(lm_map(), (31, 31), 0.0, [961], id="lm-grid-31"),
+        pytest.param(horseshoe_disk(), (8, 8), 0.0, [64], id="horseshoe-disk"),
+        pytest.param(ShiftsAllButOne(), (16, 16), 0.0, [256], id="all-but-one"),
     ],
 )
 def test_grids_that_are_not_closed_are_stepped(monkeypatch, lift, grid, offset, steps):
-    # `steps`: the points of each torus_step call of the walk's check; the
-    # first call is the probe, and a second one steps the whole grid
+    # `steps`: the points of each torus_step call of the walk's check, one
+    # step of the whole grid
     calls = []
     step = maps.torus_step
     monkeypatch.setattr(maps, "torus_step", lambda lift, u: calls.append(len(u)) or step(lift, u))
