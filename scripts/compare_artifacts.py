@@ -5,10 +5,11 @@ with PYTHONPATH set to that tree's source directory, and prints every
 difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
 properties, iterate maps and an integer translate, rotset grids that are
-walked and stepped (generic ones across block edges), cover orbits on
-both sides of the orbit engine's float/array crossover, compiled and
-interpreted on floats, and one round of
-each benchmark workload (perfbench/workloads.py, seed 1).
+walked and stepped (generic ones across block edges, and runs long
+enough to compile the array kernel, with int64 and with float64
+windings), cover orbits on both sides of the orbit engine's float/array
+crossover, compiled and interpreted on floats, and one round of each
+benchmark workload (perfbench/workloads.py, seed 1).
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
 
@@ -39,6 +40,9 @@ TRANSLATE_ROTATION = json.dumps({"map": "integer_translate", "params": {
     "base": {"map": "rotation", "params": {"alpha": 0.41421356, "beta": 0.73205081}}, "v": [1, -2],
 }})
 # each step adds windings near 2**62: their sums wrap past int64 by step 2
+TRANSLATE_LM_NEAR_INT64 = json.dumps({"map": "integer_translate", "params": {
+    "base": {"map": "lm"}, "v": [2**62, -(2**62) + 1],
+}})
 COMPOSE_WRAPS = json.dumps({"map": "compose", "params": {"maps": [{"map": "lm"}, {
     "map": "integer_translate", "params": {
         "base": {"map": "rotation", "params": {"alpha": 0.41421356, "beta": 0.3}}, "v": [2**62, -(2**62) + 1],
@@ -87,6 +91,12 @@ FIXED = [
     ["rotset", "--map-json", TRANSLATE_LM, "--grid", "100", "--offset", "0.686"],
     ["entropy", "--map", "lm", "--resolution", "96"],
     ["rotset", "--map", "lm", "--grid", "1x9000", "--offset", "0.37", "--horizons", "1,2"],
+    # generic runs of maps._ARRAY_COMPILE_POINTS = 2**20 point-steps, which
+    # compile the array kernel: windings past the float64 bound, so int64;
+    # and the 1950 operations of horseshoe_disk, with float64 windings
+    ["rotset", "--map-json", TRANSLATE_LM_NEAR_INT64, "--grid", "16", "--offset", "0.37",
+     "--horizons", "100,4096"],
+    ["rotset", "--map", "horseshoe_disk", "--grid", "64", "--offset", "0.37", "--horizons", "10,256"],
     # cover orbits of a few starts step on Python floats; one start more
     # than maps._FLOAT_STARTS steps on arrays. On floats a run of at least
     # maps._ORBIT_CHUNK_POINTS point-steps runs the lift's step traced and

@@ -82,12 +82,16 @@ _ORBIT_CHUNK_POINTS = 1024
 
 # Most starts the orbit engine (and `torus_step`) steps on Python floats;
 # larger batches step on numpy columns. Per start-step on a 2-vCPU x86-64
-# VM, for a translation and for `lm`: a compiled float step took 0.23 and
-# 0.44 µs at any batch up to 48, an interpreted one (`torus_step`, and runs
-# shorter than a chunk on a lift not yet compiled) 0.45 and 1.3 µs, and an
-# array step 0.69 and 1.6 µs at 10 starts, 0.43 and 0.99 µs at 16, 0.22
-# and 0.50 µs at 32. Compiled floats stay faster up to about 30 starts,
-# interpreted `lm` up to about 12, which sets the bound.
+# VM, for a translation and for `lm`, each regime forced (3000-step runs,
+# medians of 5): a compiled float step took 0.24-0.28 and 0.46-0.51 µs at
+# batches 8-32, an interpreted one (`torus_step`, and runs shorter than a
+# chunk on a lift not yet compiled) 0.55-0.77 and 1.4-1.6 µs. An
+# interpreted array step took 0.65 and 1.76 µs at 10 starts, 0.55 and 1.46
+# at 12, 0.42 and 1.22 at 16, 0.22 and 0.56 at 32; the compiled array
+# kernel (runs of `_ARRAY_COMPILE_POINTS`) 0.51 and 1.17, 0.43 and 0.89,
+# 0.34 and 0.71, 0.17 and 0.51. Interpreted floats and arrays cross at
+# about 12 starts, which sets the bound; compiled floats beat both array
+# steps up to about 24.
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run: a block's columns and per-step
@@ -107,13 +111,22 @@ _MAX_SUBSTEPS = 10_000
 # at batch 1 (nested iterates multiply their counts).
 _MAX_ITERATE = 10_000
 
-# Most operations a traced float step may record (see `_trace`); a longer
+# Most operations a traced step may record (see `tracer.trace`); a longer
 # step is interpreted. On a 2-vCPU x86-64 VM tracing and compiling cost
 # about 9 µs per operation (17 ms for the 1946 of `horseshoe_disk`), and a
 # compiled step saves 8-38 ns per operation a step, so the cost is repaid
 # within about the one chunk a run must fill to compile; the cap bounds a
 # step's source at about 0.2 s of compiling.
 _MAX_TRACE_NODES = 20_000
+
+# Fewest point-steps (starts × steps) an array run must take to trace its
+# step and compile an array kernel (`tracer.ArrayStep`). On a 2-vCPU x86-64
+# VM that took 0.5 ms for `lm` and 54 ms for `horseshoe_disk`, and a compiled
+# step saved about 10-30 µs and 1.1-2.6 ms at 4096-8192 starts, so 2**20
+# (128 steps of a block of 8192) repays either several times over.
+# Entropy's tables (at most 8192 starts × 13 steps) and Newton's 1-3 step
+# calls stay below it: they would not repay a `horseshoe_disk` trace.
+_ARRAY_COMPILE_POINTS = 2**20
 
 # Built-in map name -> lift class or alias factory. Filled by declarations:
 # `class V(TorusLift, spec="name")` and `@_builtin("name")`.
@@ -289,6 +302,7 @@ class TorusLift:
         # generated code, which does not pickle
         state = dict(vars(self))
         state.pop("_compiled", None)
+        state.pop("_arrays", None)
         return state
 
 
@@ -534,20 +548,54 @@ def torus_step(lift: TorusLift, u: np.ndarray):
     return _points(x, y, u.shape), _points(wx, wy, u.shape)
 
 
-def _array_chunk(lift: TorusLift, x, y, w, steps: range, at, starts: np.ndarray):
-    """Step the columns x, y through `steps` on numpy arrays, each step one
-    `lift._step` whose windings are summed in place into w, the cumulative
-    winding columns (None before step 1: step 1's fresh windings become
-    them). Returns the points and windings after each step count in `at`
-    (ascending, within `steps`), as arrays of shape (len(at), ..., 2) that
-    view (2, n) rows, the layout of `torus_step`; then the last x, y and w.
-    Every step is checked: an escape raises the error naming that step and
-    the first escaped start in `starts`."""
-    us = np.empty((len(at), 2, len(x)))
+def _escape(x, y, k: int, starts: np.ndarray):
+    """Raise the escape of step k where the columns x, y hold a point that
+    is not finite, naming the first such start in `starts`."""
+    escaped = ~(np.isfinite(x) & np.isfinite(y))
+    if escaped.any():
+        raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[escaped.argmax()]))
+
+
+def _array_chunk(advance, steps: range, at, starts: np.ndarray, drift=(0, 0)):
+    """Take the array steps `steps`, each one `advance()`, which returns the
+    columns x, y and the cumulative winding columns after it, short by
+    `drift` a step. Returns the points and int64 windings after each step
+    count in `at` (ascending, within `steps`), as arrays of shape
+    (len(at), ..., 2) that view (2, n) rows, the layout of `torus_step`.
+
+    Every step is checked with one sum per coordinate: a reduced coordinate
+    lies in [0,1] or is NaN, so the sums are finite exactly when every
+    point is. Only a sum that is not scans the points, and an escape raises
+    the error naming that step and the first escaped start in `starts`."""
+    us = np.empty((len(at), 2, starts.size // 2))
     ws = np.empty(us.shape, dtype=np.int64)
     picks = enumerate(at)
     t, pick = next(picks, (0, 0))
+    total, finite = np.add.reduce, math.isfinite
+    dx, dy = drift
     for k in steps:
+        x, y, wx, wy = advance()
+        if not finite(total(x) + total(y)):
+            _escape(x, y, k, starts)
+        if k == pick:
+            us[t, 0], us[t, 1] = x, y
+            ws[t, 0], ws[t, 1] = wx, wy  # float windings hold exact integers
+            if dx or dy:
+                ws[t, 0] += k * dx
+                ws[t, 1] += k * dy
+            t, pick = next(picks, (0, 0))
+    shape = (len(at),) + starts.shape
+    return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape)
+
+
+def _interpreted(lift: TorusLift, x, y, w=None):
+    """An `advance` for `_array_chunk`: one `lift._step` on the columns x, y
+    a call, its windings summed in place into w, the cumulative int64
+    winding columns (None before step 1: step 1's fresh windings become
+    them)."""
+
+    def advance():
+        nonlocal x, y, w
         x, y, kx, ky = lift._step(x, y, _ARRAYS)
         if w is None:
             w = kx, ky
@@ -555,148 +603,25 @@ def _array_chunk(lift: TorusLift, x, y, w, steps: range, at, starts: np.ndarray)
             wx, wy = w
             wx += kx
             wy += ky
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            i = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))[0]
-            raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[i]))
-        if k == pick:
-            us[t, 0], us[t, 1] = x, y
-            ws[t, 0], ws[t, 1] = w
-            t, pick = next(picks, (0, 0))
-    shape = (len(at),) + starts.shape
-    return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape), x, y, w
+        return x, y, *w
 
-
-class _Untraceable(Exception):
-    """A lift's step did what the tracer cannot record."""
-
-
-class _Tape:
-    """The float operations of one traced step, in the order it ran them.
-
-    Node i is `v{i}`: nodes 0 and 1 are the step's x and y, each later one
-    an expression of one operation on earlier nodes and on constants
-    `c{j}`, which must be Python ints or floats."""
-
-    def __init__(self):
-        self.nodes = [(None, ()), (None, ())]  # (expression, node operands)
-        self.seen = {}  # expression -> node
-        self.constants = {}  # (type, bits) -> name
-        self.namespace = {"floor": math.floor}
-
-    def name(self, value) -> str:
-        if isinstance(value, _Traced):
-            return f"v{value.node}"
-        if type(value) not in (int, float):
-            raise _Untraceable(f"a constant of type {type(value).__name__}")
-        key = (type(value), value.hex() if type(value) is float else value)  # -0.0 is not 0.0
-        if key not in self.constants:
-            self.constants[key] = f"c{len(self.constants)}"
-            self.namespace[self.constants[key]] = value
-        return self.constants[key]
-
-    def record(self, form: str, *operands):
-        if len(self.nodes) >= _MAX_TRACE_NODES:
-            raise _Untraceable("a step longer than the trace cap")
-        expression = form.format(*map(self.name, operands))
-        if expression not in self.seen:  # every operation is pure: compute it once
-            self.seen[expression] = len(self.nodes)
-            self.nodes.append((expression, tuple(o.node for o in operands if isinstance(o, _Traced))))
-        return _Traced(self, self.seen[expression])
-
-    def source(self, x, y) -> str:
-        """A function run(v0, v1, n, xs, ys) that takes n steps from the
-        point (v0, v1), passes each next x and y to xs and ys, and returns
-        the last point: the nodes x and y depend on, inlined."""
-        live = {o.node for o in (x, y) if isinstance(o, _Traced)}
-        for node in range(len(self.nodes) - 1, 1, -1):
-            if node in live:
-                live.update(self.nodes[node][1])
-        body = "".join(
-            f"        v{node} = {expression}\n"
-            for node, (expression, _) in enumerate(self.nodes)
-            if node in live and node > 1
-        )
-        out = f"{self.name(x)}, {self.name(y)}"
-        bound = "".join(f", {name}={name}" for name in self.namespace)  # locals, not globals
-        return (
-            f"def run(v0, v1, n, xs, ys{bound}):\n"
-            "    for _ in range(n):\n"
-            f"{body}"
-            f"        v0, v1 = {out}\n"
-            "        xs(v0)\n"
-            "        ys(v1)\n"
-            "    return v0, v1\n"
-        )
-
-
-class _Traced:
-    """A value of a step being traced: each operation on it records a node."""
-
-    __slots__ = ("tape", "node")
-    __array_ufunc__ = None  # numpy ufuncs and operators on it raise TypeError
-    __hash__ = None  # it defines __eq__
-
-    def __init__(self, tape: _Tape, node: int):
-        self.tape, self.node = tape, node
-
-    def __bool__(self):
-        raise _Untraceable("a branch on a traced value")
-
-    def __neg__(self):
-        return self.tape.record("-{}", self)
-
-    def __abs__(self):
-        return self.tape.record("abs({})", self)
-
-
-def _operator(form: str, reflected: bool):
-    if reflected:
-        return lambda a, b: a.tape.record(form, b, a)
-    return lambda a, b: a.tape.record(form, a, b)
-
-
-for _name, _symbol in [("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("mod", "%")]:
-    setattr(_Traced, f"__{_name}__", _operator(f"{{}} {_symbol} {{}}", False))
-    setattr(_Traced, f"__r{_name}__", _operator(f"{{}} {_symbol} {{}}", True))
-for _name, _symbol in [("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="), ("ne", "!=")]:
-    setattr(_Traced, f"__{_name}__", _operator(f"{{}} {_symbol} {{}}", False))
-
-
-def _trace_floor(t):
-    return t.tape.record("floor({})", t) if isinstance(t, _Traced) else math.floor(t)
-
-
-def _trace_select(cond, a, b):
-    if isinstance(cond, _Traced):
-        return cond.tape.record("{} if {} else {}", a, cond, b)
-    return a if cond else b
-
-
-# The operations of `_FLOATS`, recording where an operand is traced.
-_TRACING = _Ops(_trace_floor, _trace_select, lambda x, y: _reduce_floats(x, y, _trace_floor), _frac_floats)
-
-
-def _trace(lift: TorusLift):
-    """The source of a chunk loop of n float steps of `lift._step`, traced
-    once and inlined with its winding operations dropped (see
-    `_Tape.source`), and the namespace it runs in. The source names
-    constants only, so it holds no text of the lift's spec. Raises for a
-    step the tracer cannot record: one that branches on a value, calls
-    numpy or `math` on one, uses a constant that is not a Python int or
-    float, or runs more than `_MAX_TRACE_NODES` operations."""
-    tape = _Tape()
-    x, y, _, _ = lift._step(_Traced(tape, 0), _Traced(tape, 1), _TRACING)
-    return tape.source(x, y), dict(tape.namespace)
+    return advance
 
 
 def _compile(lift: TorusLift):
-    """`_trace`'s chunk loop, compiled; None where the tracer raises."""
-    try:
-        source, namespace = _trace(lift)
-    except Exception:  # whatever the step did to a traced value: interpret it
-        return None
-    exec(compile(source, "<traced step>", "exec"), namespace)
-    return namespace.pop("run")  # so that no cycle keeps it alive
+    """The lift's step as a compiled float chunk loop
+    (`tracer.compile_floats`); None where the tracer cannot record it."""
+    from . import tracer  # imported by the first run that compiles, not by every import
+
+    return tracer.compile_floats(lift)
+
+
+def _compile_arrays(lift: TorusLift):
+    """The lift's step as array kernels (`tracer.compile_arrays`); None where
+    the tracer cannot record it."""
+    from . import tracer
+
+    return tracer.compile_arrays(lift)
 
 
 def _compiled(lift: TorusLift, compile_now: bool):
@@ -708,6 +633,19 @@ def _compiled(lift: TorusLift, compile_now: bool):
         run = _compile(lift) or False
         object.__setattr__(lift, "_compiled", run)  # not a field: eq, hash and repr ignore it
     return run or None
+
+
+def _array_steps(lift: TorusLift, x, y, n: int):
+    """An `advance` for `_array_chunk` over n steps from the columns x, y,
+    and its drift: through the array kernel kept on the lift instance,
+    compiled first when the run takes at least `_ARRAY_COMPILE_POINTS`
+    point-steps; else interpreted, and always where the tracer cannot
+    record the step (kept as False)."""
+    kernel = vars(lift).get("_arrays")
+    if kernel is None and n * len(x) >= _ARRAY_COMPILE_POINTS:
+        kernel = _compile_arrays(lift) or False
+        object.__setattr__(lift, "_arrays", kernel)
+    return kernel.steps(x, y, n) if kernel else (_interpreted(lift, x, y), (0, 0))
 
 
 def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: np.ndarray):
@@ -740,7 +678,7 @@ def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: n
             rows[s, 0], rows[s, 1] = xs, ys
     except (ArithmeticError, ValueError):
         w = [np.array(c) for c in _columns(w)] if np.ndim(w) else None  # summed into in place
-        return _array_chunk(lift, *_columns(u), w, steps, steps, starts)[:2]
+        return _array_chunk(_interpreted(lift, *_columns(u), w), steps, steps, starts)
     try:
         dws = np.array(kept, dtype=np.int64) if kept else None  # (starts, 2, m)
     except OverflowError:
@@ -773,11 +711,19 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     one chunk compiles the step and keeps it on the instance, so every
     later run on it uses the compiled step, however short; a step the
     tracer cannot record is always interpreted. A start of -0.0 steps as
-    0.0, as on arrays. Larger
-    batches step on numpy columns: x, y and the windings stay 1-d arrays
-    for the whole run, each step is one `lift._step` plus an in-place
-    winding sum, and points are built only at the steps in `at`. Both give
-    the bits of n `torus_step` calls.
+    0.0, as on arrays.
+
+    Larger batches step on numpy columns: x, y and the windings stay 1-d
+    arrays for the whole run, and points are built only at the steps in
+    `at` (see `_array_chunk`). A run of at least `_ARRAY_COMPILE_POINTS`
+    point-steps (starts × n) traces the step and compiles an array kernel
+    from the trace, kept on the lift instance (`tracer.ArrayStep`): one
+    ufunc call per operation, into preallocated columns. Its windings are
+    float64 sums of the floors where the trace's magnitude bounds prove
+    every partial sum of the run an exact integer, else int64 as
+    interpreted. A shorter run on a lift that keeps no kernel, or a step
+    the tracer cannot record, calls `lift._step` each step and sums its
+    int64 windings in place. All give the bits of n `torus_step` calls.
     """
     points = u0.size // 2
     span = max(1, _ORBIT_CHUNK_POINTS // max(1, points))
@@ -801,17 +747,17 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
                 rows = np.subtract(picked, first)
                 yield picked, us[rows], ws[rows]
         return
-    (x, y), w, first = _columns(u0), None, 1
+    (advance, drift), first = _array_steps(lift, *_columns(u0), n), 1
     for i in range(0, len(at), span):
         picked = at[i : i + span]
         # escaped points have NaN windings; their cast must not warn
         with np.errstate(invalid="ignore"):
-            us, ws, x, y, w = _array_chunk(lift, x, y, w, range(first, picked[-1] + 1), picked, starts)
+            us, ws = _array_chunk(advance, range(first, picked[-1] + 1), picked, starts, drift)
         yield picked, us, ws
         first = picked[-1] + 1
     if first <= n:  # the steps past the last one in `at` are checked too
         with np.errstate(invalid="ignore"):
-            _array_chunk(lift, x, y, w, range(first, n + 1), (), starts)
+            _array_chunk(advance, range(first, n + 1), (), starts)
 
 
 def run_in_blocks(fn, u0: np.ndarray) -> list:

@@ -35,6 +35,7 @@ from rotaset import (
     rotation_vector,
     transitivity_score,
 )
+from rotaset import tracer
 from rotaset.entropy import orbit_table
 
 from .conftest import IRRATIONAL, EscapesAfterShift, EscapesInALaterBlockFirst, EscapesRightHalf, _plain_orbit
@@ -311,6 +312,109 @@ def test_compiled_escape_names_the_interpreted_step_and_start(value, monkeypatch
     assert (err.step, err.start) == (plain.step, plain.start) == (1280, (0.125, 0.5))
 
 
+# --- compiled array steps ----------------------------------------------------
+
+def _interpreted_arrays(monkeypatch):
+    """Every lift built after this call steps on arrays through its `_step`."""
+    monkeypatch.setattr(maps, "_compile_arrays", lambda lift: None)
+
+
+def _picked(lift, u0, n, at):
+    """The points and windings of torus_orbit at the steps `at`."""
+    chunks = list(maps.torus_orbit(lift, u0, n, at=at))
+    return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])
+
+
+@pytest.mark.parametrize("points", [maps._FLOAT_STARTS + 1, maps._BLOCK_POINTS])
+@pytest.mark.parametrize("name", list(TWO_PATH_SPECS))
+def test_compiled_array_steps_match_the_interpreted_loop(name, points, monkeypatch):
+    # the localized shears take about 1 ms per interpreted step at 8192
+    # starts: fewer steps, from starts inside the disk
+    n, box = (30, (0.4, 0.6)) if name in ("localized-shear", "horseshoe-disk") else (300, (0.0, 1.0))
+    lo, hi = box
+    u0 = lo + (hi - lo) * np.random.default_rng(points).random((points, 2))
+    at = (1, 2, 7, n // 2, n)
+    monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)  # every array run compiles
+    lift = from_map_spec(TWO_PATH_SPECS[name])
+    us, ws = _picked(lift, u0, n, at)
+    wraps = name in ("near-int64", "nested")
+    # float64 windings where the tape's bounds prove them exact, else int64
+    assert list(vars(lift)["_arrays"].kernels) == [not wraps]
+    _interpreted_arrays(monkeypatch)
+    plain = from_map_spec(TWO_PATH_SPECS[name])
+    plain_us, plain_ws = _picked(plain, u0, n, at)
+    assert vars(plain)["_arrays"] is False
+    assert us.tobytes() == plain_us.tobytes()
+    assert ws.dtype == np.int64 and np.array_equal(ws, plain_ws)
+    if wraps:
+        assert (ws[:2, :, 0] < 0).any()  # wrapped past int64
+
+
+def test_array_kernel_keeps_a_coordinate_that_comes_back_one(monkeypatch):
+    # 0.3 - 0.30000000000000004 = -2**-54, and -2**-54 - floor(-2**-54)
+    # rounds to 1.0: the reduced point leaves [0,1), as on the
+    # interpreted path (a known defect, kept bit for bit)
+    u0 = np.tile([0.3, 0.5], (maps._FLOAT_STARTS + 1, 1))
+    monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)
+    lift = Translation((-0.30000000000000004, 0))
+    us, ws = _orbit(lift, u0, 3)
+    assert list(vars(lift)["_arrays"].kernels) == [True]
+    assert (us[0, :, 0] == 1.0).all() and (ws[0, :, 0] == -1).all()
+    _interpreted_arrays(monkeypatch)
+    plain_us, plain_ws = _orbit(Translation((-0.30000000000000004, 0)), u0, 3)
+    assert us.tobytes() == plain_us.tobytes() and np.array_equal(ws, plain_ws)
+
+
+@dataclass(frozen=True)
+class SubtractsTwoToThe60(TorusLift):
+    """x - 2**60: each step's x winding is -2**60, and their sum wraps past
+    int64 from step 9."""
+
+    def _apply(self, x, y, op):
+        return x - 2.0**60, y
+
+
+def test_array_kernel_bounds_windings_through_a_subtraction(monkeypatch):
+    u0 = np.random.default_rng(3).random((maps._FLOAT_STARTS + 1, 2))
+    monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)
+    lift = SubtractsTwoToThe60()
+    us, ws = _orbit(lift, u0, 12)
+    assert list(vars(lift)["_arrays"].kernels) == [False]  # past 2**52: int64 windings
+    assert (ws[8, :, 0] > 0).all()  # wrapped
+    _interpreted_arrays(monkeypatch)
+    plain_us, plain_ws = _orbit(SubtractsTwoToThe60(), u0, 12)
+    assert us.tobytes() == plain_us.tobytes() and np.array_equal(ws, plain_ws)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_array_kernel_escape_names_the_interpreted_step_and_start(value, monkeypatch):
+    # 64 starts (m/2048, i/64); a start escapes at step 1536 - m. Starts
+    # 20 and 50 share the largest m, 900: start 20 is named, at step 636,
+    # between the requested steps
+    m = np.arange(64) * 10.0
+    m[[20, 50]] = 900
+    starts = np.stack([m / 2048, np.arange(64) / 64], axis=1)
+    monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)
+    lift = EscapesAtThreeQuarters(value)
+    err = _escape(lambda: list(maps.torus_orbit(lift, starts, 3000, at=(1, 700, 3000))))
+    assert isinstance(vars(lift)["_arrays"], tracer.ArrayStep)
+    _interpreted_arrays(monkeypatch)
+    plain = _escape(lambda: list(maps.torus_orbit(EscapesAtThreeQuarters(value), starts, 3000, at=(1, 700, 3000))))
+    assert (err.step, err.start) == (plain.step, plain.start) == (636, (900 / 2048, 20 / 64))
+
+
+def test_only_array_runs_of_enough_point_steps_compile():
+    # entropy's tables (at most 8192 starts x 13 steps) and Newton's 1-3
+    # step calls would pay more to trace than they save
+    u0 = maps.grid_starts(64, 128, 0.37)
+    assert len(u0) * 128 == maps._ARRAY_COMPILE_POINTS
+    lift = lm_map()
+    list(maps.torus_orbit(lift, u0, 127, at=(127,)))
+    assert "_arrays" not in vars(lift)
+    list(maps.torus_orbit(lift, u0, 128, at=(128,)))
+    assert isinstance(vars(lift)["_arrays"], tracer.ArrayStep)
+
+
 def test_generated_source_holds_no_spec_text():
     shear = {"map": "localized_shear", "params": {
         "center": [0.3141592, 0.2718281], "radius": 0.0123, "amplitude": 0.0456, "axis": "horizontal",
@@ -318,13 +422,16 @@ def test_generated_source_holds_no_spec_text():
     spec = {"map": "integer_translate", "params": {"base": {"map": "compose", "params": {"maps": [
         {"map": "translation", "params": {"v": [0.1234567, 0.7654321]}}, shear,
     ]}}, "v": [12345, -6789]}}
-    source, namespace = maps._trace(from_map_spec(spec))
-    assert 0.1234567 in namespace.values() and 0.3141592 in namespace.values()  # bound by name
-    text = json.dumps(spec)
-    for word in ["map", "params", "integer_translate", "compose", "translation", "localized_shear",
-                 "center", "radius", "amplitude", "axis", "horizontal", "0.1234567", "0.7654321",
-                 "0.3141592", "0.2718281", "0.0123", "0.0456", "12345", "6789"]:
-        assert word in text and word not in source
+    tape = tracer.trace(from_map_spec(spec))
+    kinds = tape.kinds()
+    # the float chunk loop, and the array kernels with float and int64 windings
+    for source, namespace, *_ in [tape.source(), tape.kernel(kinds, True), tape.kernel(kinds, False)]:
+        assert 0.1234567 in namespace.values() and 0.3141592 in namespace.values()  # bound by name
+        text = json.dumps(spec)
+        for word in ["map", "params", "integer_translate", "compose", "translation", "localized_shear",
+                     "center", "radius", "amplitude", "axis", "horizontal", "0.1234567", "0.7654321",
+                     "0.3141592", "0.2718281", "0.0123", "0.0456", "12345", "6789"]:
+            assert word in text and word not in source
 
 
 @dataclass(frozen=True)
@@ -393,10 +500,15 @@ def test_only_runs_of_a_full_chunk_compile(points):
 def test_a_dropped_lift_frees_its_compiled_step():
     lift = lm_map()
     _orbit(lift, np.array([[0.2, 0.3]]), maps._ORBIT_CHUNK_POINTS)
-    run = weakref.ref(vars(lift)["_compiled"])
-    assert pickle.loads(pickle.dumps(lift)) == lift  # the compiled step is not pickled
+    list(maps.torus_orbit(lift, np.full((1024, 2), 0.3), 1024, at=(1024,)))  # 2**20 point-steps: arrays compile
+    kernel = vars(lift)["_arrays"]
+    steps = [weakref.ref(step) for step, _, _ in kernel.kernels.values()]
+    freed = [weakref.ref(vars(lift)["_compiled"]), weakref.ref(kernel), *steps]
+    del kernel
+    clone = pickle.loads(pickle.dumps(lift))  # the compiled steps are not pickled
+    assert clone == lift and not {"_compiled", "_arrays"} & set(vars(clone))
     del lift
-    assert run() is None  # no cycle: freed without the cyclic collector
+    assert len(freed) == 3 and [ref() for ref in freed] == [None] * 3  # no cycle: freed without the cyclic collector
 
 
 @pytest.mark.parametrize("points", [1, maps._FLOAT_STARTS + 1], ids=["floats", "arrays"])
