@@ -6,8 +6,8 @@ difference between the trees in exit code, stdout or a file written to
 ``--out``. The set is the acceptance-8 commands, a few `verify`
 properties, iterate maps and an integer translate, rotset grids that are
 walked and stepped (generic ones across block edges, and runs long
-enough to compile the array kernel, with int64 and with float64
-windings), cover orbits on both sides of the orbit engine's float/array
+enough to compile the array kernel, one of which the kernel's winding
+bound sends back to the interpreted loop), cover orbits on both sides of the orbit engine's float/array
 crossover, compiled and interpreted on floats, and one round of each
 benchmark workload (perfbench/workloads.py, seed 1).
 
@@ -92,8 +92,8 @@ FIXED = [
     ["entropy", "--map", "lm", "--resolution", "96"],
     ["rotset", "--map", "lm", "--grid", "1x9000", "--offset", "0.37", "--horizons", "1,2"],
     # generic runs of maps._ARRAY_COMPILE_POINTS = 2**20 point-steps, which
-    # compile the array kernel: windings past the float64 bound, so int64;
-    # and the 1950 operations of horseshoe_disk, with float64 windings
+    # trace the step: windings past the float64 bound, so interpreted with
+    # int64 windings; and the 1950 operations of horseshoe_disk, compiled
     ["rotset", "--map-json", TRANSLATE_LM_NEAR_INT64, "--grid", "16", "--offset", "0.37",
      "--horizons", "100,4096"],
     ["rotset", "--map", "horseshoe_disk", "--grid", "64", "--offset", "0.37", "--horizons", "10,256"],

@@ -556,12 +556,12 @@ def _escape(x, y, k: int, starts: np.ndarray):
         raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[escaped.argmax()]))
 
 
-def _array_chunk(advance, steps: range, at, starts: np.ndarray, drift=(0, 0)):
+def _array_chunk(advance, steps: range, at, starts: np.ndarray):
     """Take the array steps `steps`, each one `advance()`, which returns the
-    columns x, y and the cumulative winding columns after it, short by
-    `drift` a step. Returns the points and int64 windings after each step
-    count in `at` (ascending, within `steps`), as arrays of shape
-    (len(at), ..., 2) that view (2, n) rows, the layout of `torus_step`.
+    columns x, y and the cumulative winding columns after it. Returns the
+    points and int64 windings after each step count in `at` (ascending,
+    within `steps`), as arrays of shape (len(at), ..., 2) that view (2, n)
+    rows, the layout of `torus_step`.
 
     Every step is checked with one sum per coordinate: a reduced coordinate
     lies in [0,1] or is NaN, so the sums are finite exactly when every
@@ -572,7 +572,6 @@ def _array_chunk(advance, steps: range, at, starts: np.ndarray, drift=(0, 0)):
     picks = enumerate(at)
     t, pick = next(picks, (0, 0))
     total, finite = np.add.reduce, math.isfinite
-    dx, dy = drift
     for k in steps:
         x, y, wx, wy = advance()
         if not finite(total(x) + total(y)):
@@ -580,9 +579,6 @@ def _array_chunk(advance, steps: range, at, starts: np.ndarray, drift=(0, 0)):
         if k == pick:
             us[t, 0], us[t, 1] = x, y
             ws[t, 0], ws[t, 1] = wx, wy  # float windings hold exact integers
-            if dx or dy:
-                ws[t, 0] += k * dx
-                ws[t, 1] += k * dy
             t, pick = next(picks, (0, 0))
     shape = (len(at),) + starts.shape
     return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape)
@@ -617,8 +613,8 @@ def _compile(lift: TorusLift):
 
 
 def _compile_arrays(lift: TorusLift):
-    """The lift's step as array kernels (`tracer.compile_arrays`); None where
-    the tracer cannot record it."""
+    """The lift's step as an array kernel (`tracer.compile_arrays`); None
+    where the tracer cannot record it or bound its windings."""
     from . import tracer
 
     return tracer.compile_arrays(lift)
@@ -636,16 +632,17 @@ def _compiled(lift: TorusLift, compile_now: bool):
 
 
 def _array_steps(lift: TorusLift, x, y, n: int):
-    """An `advance` for `_array_chunk` over n steps from the columns x, y,
-    and its drift: through the array kernel kept on the lift instance,
-    compiled first when the run takes at least `_ARRAY_COMPILE_POINTS`
-    point-steps; else interpreted, and always where the tracer cannot
-    record the step (kept as False)."""
+    """An `advance` for `_array_chunk` over n steps from the columns x, y:
+    through the array kernel kept on the lift instance, compiled first when
+    the run takes at least `_ARRAY_COMPILE_POINTS` point-steps, where the
+    run's windings are exact in float64 (`tracer.ArrayStep.steps`); else
+    interpreted, and always where the tracer cannot record the step or
+    bound its windings (kept as False)."""
     kernel = vars(lift).get("_arrays")
     if kernel is None and n * len(x) >= _ARRAY_COMPILE_POINTS:
         kernel = _compile_arrays(lift) or False
         object.__setattr__(lift, "_arrays", kernel)
-    return kernel.steps(x, y, n) if kernel else (_interpreted(lift, x, y), (0, 0))
+    return (kernel and kernel.steps(x, y, n)) or _interpreted(lift, x, y)
 
 
 def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: np.ndarray):
@@ -719,11 +716,12 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     point-steps (starts × n) traces the step and compiles an array kernel
     from the trace, kept on the lift instance (`tracer.ArrayStep`): one
     ufunc call per operation, into preallocated columns. Its windings are
-    float64 sums of the floors where the trace's magnitude bounds prove
-    every partial sum of the run an exact integer, else int64 as
-    interpreted. A shorter run on a lift that keeps no kernel, or a step
-    the tracer cannot record, calls `lift._step` each step and sums its
-    int64 windings in place. All give the bits of n `torus_step` calls.
+    float64 sums of the floors, so it runs only where the trace's magnitude
+    bounds prove every partial sum of the run an exact integer. Every
+    other run (shorter, on a lift that keeps no kernel, past the bound, or
+    of a step the tracer cannot record or bound) calls `lift._step` each
+    step and sums its int64 windings in place. All give the bits of n
+    `torus_step` calls.
     """
     points = u0.size // 2
     span = max(1, _ORBIT_CHUNK_POINTS // max(1, points))
@@ -747,12 +745,12 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
                 rows = np.subtract(picked, first)
                 yield picked, us[rows], ws[rows]
         return
-    (advance, drift), first = _array_steps(lift, *_columns(u0), n), 1
+    advance, first = _array_steps(lift, *_columns(u0), n), 1
     for i in range(0, len(at), span):
         picked = at[i : i + span]
         # escaped points have NaN windings; their cast must not warn
         with np.errstate(invalid="ignore"):
-            us, ws = _array_chunk(advance, range(first, picked[-1] + 1), picked, starts, drift)
+            us, ws = _array_chunk(advance, range(first, picked[-1] + 1), picked, starts)
         yield picked, us, ws
         first = picked[-1] + 1
     if first <= n:  # the steps past the last one in `at` are checked too

@@ -35,7 +35,8 @@ _FLOAT_FORMS = {
     "select": "{1} if {0} else {2}", "wind": "{}",  # math.floor's int is the winding
 }
 # The ufunc each operation calls on arrays, as numpy's operators call it;
-# `Tape.kernel` writes frac, select and wind itself.
+# `Tape.kernel` writes frac and select itself, and reads a wind node as the
+# floor it winds.
 _UFUNCS = {
     "add": "add", "sub": "subtract", "mul": "multiply", "truediv": "true_divide", "mod": "remainder",
     "lt": "less", "le": "less_equal", "gt": "greater", "ge": "greater_equal", "eq": "equal", "ne": "not_equal",
@@ -209,41 +210,22 @@ class Tape:
             return math.inf
         return max(bounds[wx], bounds[wy])
 
-    def constant_part(self, w: int):
-        """The winding node w as (node, c), w = node + c for an int c, by
-        peeling additions of constants."""
-        c = 0
-        while self.nodes[w][0] == "add":
-            a, b = sorted(self.nodes[w][1], key=lambda o: not isinstance(o, int))  # a constant last
-            if isinstance(b, int):
-                break
-            c, w = c + self.values[b], a
-        return w, c
-
-    def kernel(self, kinds: list, floats: bool):
-        """(source, namespace, dtypes, drift) of a function step(v0, v1, o0,
-        o1, w0, w1, *columns) that takes one array step from the columns
-        v0, v1 into o0, o1 and adds its windings into w0, w1 in place. Each
-        live node is one ufunc call with `out`, into a column of `columns`
-        (of the dtypes `dtypes`) that is reused once its value is dead; v0
-        and v1 are reused too, so the caller swaps the input and output
-        columns for the next step. t * 1.0 is t.
-
-        With `floats` the windings are float64, each winding node is the
-        floor it reads, and the int constants a step adds to its windings
-        are left out: `drift` holds them, for the caller to add k times
-        at step k. Else the windings are int64, cast from the floors as the
-        interpreted step casts them, and `drift` is (0, 0)."""
+    def kernel(self, kinds: list):
+        """(source, namespace, dtypes) of a function step(v0, v1, o0, o1, w0,
+        w1, *columns) that takes one array step from the columns v0, v1 into
+        o0, o1 and adds its windings into the float64 columns w0, w1 in
+        place: each winding node is the floor it reads, so the sums are
+        exact integers while `winding_bound` holds. Each live node is one
+        ufunc call with `out`, into a column of `columns` (of the dtypes
+        `dtypes`) that is reused once its value is dead; v0 and v1 are
+        reused too, so the caller swaps the input and output columns for
+        the next step. t * 1.0 is t."""
         x, y, wx, wy = self.out
-        drift = (0, 0)
-        if floats:
-            (wx, dx), (wy, dy) = self.constant_part(wx), self.constant_part(wy)
-            drift = (dx, dy)
         rep = list(range(len(self.nodes)))  # the node whose column holds each node's value
         live = self.live((x, y, wx, wy))
         for node in live:
             op, args = self.nodes[node]
-            if op == "wind" and floats:
+            if op == "wind":
                 rep[node] = rep[args[0]]
             elif op == "mul" and kinds[node] == "f":
                 a, c = sorted(args, key=lambda o: not isinstance(o, int))  # a constant last
@@ -262,8 +244,8 @@ class Tape:
             else:
                 last[rep[point]] = len(self.nodes)
                 copies.append((slot, rep[point]))
-        dtype = {"f": "f", "b": "b", "w": "f" if floats else "i"}
-        free = {"f": [], "b": [], "i": []}
+        dtype = {"f": "f", "b": "b", "w": "f"}
+        free = {"f": [], "b": []}
         dtypes = []
         column = {0: "v0", 1: "v1"}
 
@@ -295,8 +277,6 @@ class Tape:
                 lines += [f"floor({names[0]}, {out})", f"subtract({names[0]}, {out}, {out})"]
             elif op == "select":
                 lines += [f"copyto({out}, {names[2]})", f"copyto({out}, {names[1]}, where={names[0]})"]
-            elif op == "wind":
-                lines.append(f"copyto({out}, {names[0]}, casting='unsafe')")
             else:
                 lines.append(f"{_UFUNCS[op]}({', '.join(names)}, {out})")
             lines += [f"add({slot}, {out}, {slot})" for slot, w in (("w0", wx), ("w1", wy)) if rep[w] == node]
@@ -307,7 +287,7 @@ class Tape:
         params = "".join(f", {kind}{i}" for i, kind in enumerate(dtypes))
         body = "".join(f"    {line}\n" for line in lines)
         source = f"def step(v0, v1, o0, o1, w0, w1{params}{_defaults(namespace)}):\n{body}"
-        return source, namespace, dtypes, drift
+        return source, namespace, dtypes
 
 
 class Traced:
@@ -390,35 +370,30 @@ def compile_floats(lift: TorusLift):
 
 
 class ArrayStep:
-    """A traced step as array kernels (`Tape.kernel`): one with float64
-    windings, for runs whose windings the tape's magnitude bounds prove
-    exact in float64, and one with int64 windings, each compiled when a run
-    first needs it."""
+    """A traced step as an array kernel (`Tape.kernel`), for runs whose
+    windings the tape's magnitude bounds prove exact in float64. A step
+    with no such bound raises: it is interpreted."""
 
     def __init__(self, tape: Tape):
-        self.tape = tape
-        self.kinds = tape.kinds()
-        self.bound = tape.winding_bound(self.kinds)
-        self.kernels = {}  # float windings or not -> (step, column dtypes, drift)
-
-    def kernel(self, floats: bool):
-        if floats not in self.kernels:
-            source, namespace, dtypes, drift = self.tape.kernel(self.kinds, floats)
-            exec(compile(source, "<traced array step>", "exec"), namespace)
-            self.kernels[floats] = namespace.pop("step"), dtypes, drift  # no cycle through the namespace
-        return self.kernels[floats]
+        kinds = tape.kinds()
+        self.bound = tape.winding_bound(kinds)
+        if self.bound == math.inf:
+            raise Untraceable("windings that float64 may not sum exactly")
+        source, namespace, self.dtypes = tape.kernel(kinds)
+        exec(compile(source, "<traced array step>", "exec"), namespace)
+        self.step = namespace.pop("step")  # no cycle through the namespace
 
     def steps(self, x, y, n: int):
         """An `advance` for `maps._array_chunk` over n steps from the columns
-        x, y, and its drift: its windings are float64 when every start lies
-        within [-1, 1] and n steps of the bound `self.bound` stay within
-        `_EXACT`, so that each partial sum is an exact integer, else int64."""
-        floats = n * self.bound <= _EXACT and bool(np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0))
-        step, dtypes, drift = self.kernel(floats)
-        m = len(x)
+        x, y, with float64 windings; None unless every start lies within
+        [-1, 1] and n steps of the bound `self.bound` stay within `_EXACT`,
+        so that each partial sum is an exact integer."""
+        if n * self.bound > _EXACT or not (np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0)):
+            return None
+        step, m = self.step, len(x)
         a, b = (np.array(x), np.array(y)), (np.empty(m), np.empty(m))
-        wx, wy = np.zeros((2, m), dtype=float if floats else np.int64)
-        columns = [np.empty(m, dtype={"f": float, "i": np.int64, "b": bool}[d]) for d in dtypes]
+        wx, wy = np.zeros((2, m))
+        columns = [np.empty(m, dtype={"f": float, "b": bool}[d]) for d in self.dtypes]
 
         def advance():
             nonlocal a, b
@@ -426,12 +401,13 @@ class ArrayStep:
             a, b = b, a
             return a[0], a[1], wx, wy
 
-        return advance, drift
+        return advance
 
 
 def compile_arrays(lift: TorusLift):
-    """The lift's `ArrayStep`; None where the tracer raises, or where the
-    trace mixes kinds (see `Tape.kinds`)."""
+    """The lift's `ArrayStep`; None where the tracer raises, where the
+    trace mixes kinds (see `Tape.kinds`), or where it bounds no winding
+    (see `Tape.winding_bound`)."""
     try:
         return ArrayStep(trace(lift))
     except Exception:  # whatever the step did to a traced value: interpret it

@@ -319,6 +319,14 @@ def _interpreted_arrays(monkeypatch):
     monkeypatch.setattr(maps, "_compile_arrays", lambda lift: None)
 
 
+def _interpreted_runs(monkeypatch) -> list:
+    """A list that gains an entry for each array run that steps through
+    `lift._step` from now on."""
+    runs, interpreted = [], maps._interpreted
+    monkeypatch.setattr(maps, "_interpreted", lambda *args: runs.append(args) or interpreted(*args))
+    return runs
+
+
 def _picked(lift, u0, n, at):
     """The points and windings of torus_orbit at the steps `at`."""
     chunks = list(maps.torus_orbit(lift, u0, n, at=at))
@@ -335,11 +343,13 @@ def test_compiled_array_steps_match_the_interpreted_loop(name, points, monkeypat
     u0 = lo + (hi - lo) * np.random.default_rng(points).random((points, 2))
     at = (1, 2, 7, n // 2, n)
     monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)  # every array run compiles
+    runs = _interpreted_runs(monkeypatch)
     lift = from_map_spec(TWO_PATH_SPECS[name])
     us, ws = _picked(lift, u0, n, at)
     wraps = name in ("near-int64", "nested")
-    # float64 windings where the tape's bounds prove them exact, else int64
-    assert list(vars(lift)["_arrays"].kernels) == [not wraps]
+    # the kernel where the tape's bounds prove float64 windings exact; the
+    # windings near 2**62 step through `_step`
+    assert (vars(lift)["_arrays"] is False) == wraps and len(runs) == wraps
     _interpreted_arrays(monkeypatch)
     plain = from_map_spec(TWO_PATH_SPECS[name])
     plain_us, plain_ws = _picked(plain, u0, n, at)
@@ -356,9 +366,10 @@ def test_array_kernel_keeps_a_coordinate_that_comes_back_one(monkeypatch):
     # interpreted path (a known defect, kept bit for bit)
     u0 = np.tile([0.3, 0.5], (maps._FLOAT_STARTS + 1, 1))
     monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)
+    runs = _interpreted_runs(monkeypatch)
     lift = Translation((-0.30000000000000004, 0))
     us, ws = _orbit(lift, u0, 3)
-    assert list(vars(lift)["_arrays"].kernels) == [True]
+    assert isinstance(vars(lift)["_arrays"], tracer.ArrayStep) and not runs
     assert (us[0, :, 0] == 1.0).all() and (ws[0, :, 0] == -1).all()
     _interpreted_arrays(monkeypatch)
     plain_us, plain_ws = _orbit(Translation((-0.30000000000000004, 0)), u0, 3)
@@ -366,41 +377,52 @@ def test_array_kernel_keeps_a_coordinate_that_comes_back_one(monkeypatch):
 
 
 @dataclass(frozen=True)
-class SubtractsTwoToThe60(TorusLift):
-    """x - 2**60: each step's x winding is -2**60, and their sum wraps past
-    int64 from step 9."""
+class SubtractsTwoToThe49(TorusLift):
+    """x - 2**49: the tape bounds each step's x winding, through the
+    subtraction, by 2**49 + 2, so float64 sums 7 steps of it within 2**52
+    and 8 not."""
 
     def _apply(self, x, y, op):
-        return x - 2.0**60, y
+        return x - 2.0**49, y
 
 
-def test_array_kernel_bounds_windings_through_a_subtraction(monkeypatch):
-    u0 = np.random.default_rng(3).random((maps._FLOAT_STARTS + 1, 2))
+def test_array_kernel_runs_only_while_its_windings_stay_exact(monkeypatch):
+    u0 = np.random.default_rng(4).random((maps._FLOAT_STARTS + 1, 2))
+    kernel = tracer.compile_arrays(SubtractsTwoToThe49())
+    x, y = u0.T
+    assert kernel.steps(x, y, 7) is not None and kernel.steps(x, y, 8) is None
+    assert kernel.steps(x + 1.5, y, 7) is None  # a start outside [-1, 1]
     monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)
-    lift = SubtractsTwoToThe60()
-    us, ws = _orbit(lift, u0, 12)
-    assert list(vars(lift)["_arrays"].kernels) == [False]  # past 2**52: int64 windings
-    assert (ws[8, :, 0] > 0).all()  # wrapped
-    _interpreted_arrays(monkeypatch)
-    plain_us, plain_ws = _orbit(SubtractsTwoToThe60(), u0, 12)
-    assert us.tobytes() == plain_us.tobytes() and np.array_equal(ws, plain_ws)
+    runs = _interpreted_runs(monkeypatch)
+    for n, u, interpreted in [(7, u0, 0), (8, u0, 1), (7, u0 + 1.5, 1)]:
+        runs.clear()
+        lift = SubtractsTwoToThe49()
+        us, ws = _orbit(lift, u, n)
+        assert isinstance(vars(lift)["_arrays"], tracer.ArrayStep) and len(runs) == interpreted
+        with monkeypatch.context() as m:
+            _interpreted_arrays(m)
+            plain_us, plain_ws = _orbit(SubtractsTwoToThe49(), u, n)
+        assert us.tobytes() == plain_us.tobytes() and np.array_equal(ws, plain_ws)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
-def test_array_kernel_escape_names_the_interpreted_step_and_start(value, monkeypatch):
-    # 64 starts (m/2048, i/64); a start escapes at step 1536 - m. Starts
-    # 20 and 50 share the largest m, 900: start 20 is named, at step 636,
+def test_a_step_that_can_escape_compiles_no_array_kernel(value, monkeypatch):
+    # The tape bounds no node that reads `value`, so no winding: a step
+    # whose bounds hold makes no NaN or infinity from starts within
+    # [-1, 1], and every escape is found by the interpreted loop. 64
+    # starts (m/2048, i/64); a start escapes at step 1536 - m. Starts 20
+    # and 50 share the largest m, 900: start 20 is named, at step 636,
     # between the requested steps
     m = np.arange(64) * 10.0
     m[[20, 50]] = 900
     starts = np.stack([m / 2048, np.arange(64) / 64], axis=1)
     monkeypatch.setattr(maps, "_ARRAY_COMPILE_POINTS", 1)
     lift = EscapesAtThreeQuarters(value)
+    tape = tracer.trace(lift)
+    assert tape.winding_bound(tape.kinds()) == math.inf
     err = _escape(lambda: list(maps.torus_orbit(lift, starts, 3000, at=(1, 700, 3000))))
-    assert isinstance(vars(lift)["_arrays"], tracer.ArrayStep)
-    _interpreted_arrays(monkeypatch)
-    plain = _escape(lambda: list(maps.torus_orbit(EscapesAtThreeQuarters(value), starts, 3000, at=(1, 700, 3000))))
-    assert (err.step, err.start) == (plain.step, plain.start) == (636, (900 / 2048, 20 / 64))
+    assert vars(lift)["_arrays"] is False
+    assert (err.step, err.start) == (636, (900 / 2048, 20 / 64))
 
 
 def test_only_array_runs_of_enough_point_steps_compile():
@@ -423,9 +445,8 @@ def test_generated_source_holds_no_spec_text():
         {"map": "translation", "params": {"v": [0.1234567, 0.7654321]}}, shear,
     ]}}, "v": [12345, -6789]}}
     tape = tracer.trace(from_map_spec(spec))
-    kinds = tape.kinds()
-    # the float chunk loop, and the array kernels with float and int64 windings
-    for source, namespace, *_ in [tape.source(), tape.kernel(kinds, True), tape.kernel(kinds, False)]:
+    # the float chunk loop, and the array kernel
+    for source, namespace, *_ in [tape.source(), tape.kernel(tape.kinds())]:
         assert 0.1234567 in namespace.values() and 0.3141592 in namespace.values()  # bound by name
         text = json.dumps(spec)
         for word in ["map", "params", "integer_translate", "compose", "translation", "localized_shear",
@@ -501,10 +522,8 @@ def test_a_dropped_lift_frees_its_compiled_step():
     lift = lm_map()
     _orbit(lift, np.array([[0.2, 0.3]]), maps._ORBIT_CHUNK_POINTS)
     list(maps.torus_orbit(lift, np.full((1024, 2), 0.3), 1024, at=(1024,)))  # 2**20 point-steps: arrays compile
-    kernel = vars(lift)["_arrays"]
-    steps = [weakref.ref(step) for step, _, _ in kernel.kernels.values()]
-    freed = [weakref.ref(vars(lift)["_compiled"]), weakref.ref(kernel), *steps]
-    del kernel
+    freed = [weakref.ref(vars(lift)["_compiled"]), weakref.ref(vars(lift)["_arrays"]),
+             weakref.ref(vars(lift)["_arrays"].step)]
     clone = pickle.loads(pickle.dumps(lift))  # the compiled steps are not pickled
     assert clone == lift and not {"_compiled", "_arrays"} & set(vars(clone))
     del lift
