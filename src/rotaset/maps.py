@@ -70,7 +70,8 @@ _BUMP_MAX_SLOPE = 8.0 / (3.0 * math.sqrt(3.0))
 
 # Point-steps per chunk the orbit engine yields. On Python floats a chunk is
 # also the unit that runs again on arrays when a step raises, so a float
-# step needs no finiteness check of its own; arrays are checked every step.
+# step needs no finiteness check of its own; interpreted array steps are
+# checked every step.
 # A chunk's arrays live until its caller moves on, so this bounds memory.
 # Covering runs of 10^5 rotation steps, each on a fresh lift that compiles
 # its step, took on a 2-vCPU x86-64 VM 0.043 s (one start) and 0.088 s (two)
@@ -95,11 +96,13 @@ _ORBIT_CHUNK_POINTS = 1024
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run: a block's columns and per-step
-# temporaries then stay in cache. On a 2-vCPU x86-64 VM, a generic-offset
-# `rotset` of `integer_translate(lm, (2, -1))` (128², horizons 100, 500,
-# 2000) took 0.41 s in blocks of 8192, against 0.62 s as one batch of
-# 16384, 0.59 s in blocks of 12288 (then 4096) and 0.53 s in blocks of 4096
-# (medians of 7, one process each).
+# temporaries then stay in cache. On a 2-vCPU x86-64 VM, generic-offset
+# `rotset` grids of `integer_translate(lm, (2, -1))` on the array kernel
+# took, at 128² (horizons 100, 500, 2000), 0.320 s in blocks of 8192
+# against 0.271 s as one batch (medians of 7 alternating runs in one
+# process); at 512² (horizons 100, 500), 1.10-1.25 s in blocks of 8192,
+# 1.87-1.99 s as one batch and 1.04-1.24 s in blocks of 16384 (two
+# sessions of 3 alternating runs). Blocks pay at 512², not at 128².
 _BLOCK_POINTS = 8192
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
@@ -548,58 +551,50 @@ def torus_step(lift: TorusLift, u: np.ndarray):
     return _points(x, y, u.shape), _points(wx, wy, u.shape)
 
 
-def _escape(x, y, k: int, starts: np.ndarray):
-    """Raise the escape of step k where the columns x, y hold a point that
-    is not finite, naming the first such start in `starts`."""
-    escaped = ~(np.isfinite(x) & np.isfinite(y))
-    if escaped.any():
-        raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[escaped.argmax()]))
-
-
-def _array_chunk(advance, steps: range, at, starts: np.ndarray):
-    """Take the array steps `steps`, each one `advance()`, which returns the
-    columns x, y and the cumulative winding columns after it. Returns the
-    points and int64 windings after each step count in `at` (ascending,
-    within `steps`), as arrays of shape (len(at), ..., 2) that view (2, n)
-    rows, the layout of `torus_step`.
-
-    Every step is checked with one sum per coordinate: a reduced coordinate
-    lies in [0,1] or is NaN, so the sums are finite exactly when every
-    point is. Only a sum that is not scans the points, and an escape raises
-    the error naming that step and the first escaped start in `starts`."""
-    us = np.empty((len(at), 2, starts.size // 2))
+def _array_chunk(advance, steps: range, at, shape: tuple):
+    """Take the array steps `steps`, each one `advance(k)` for its step
+    count k, which returns the columns x, y and the cumulative winding
+    columns after it. Returns the points and int64 windings after each
+    step count in `at` (ascending, within `steps`), as arrays of shape
+    (len(at),) + `shape`, the shape of the starts, that view (2, n) rows,
+    the layout of `torus_step`. An advance that can meet an escape checks
+    for it itself (`_interpreted`)."""
+    us = np.empty((len(at), 2, math.prod(shape) // 2))
     ws = np.empty(us.shape, dtype=np.int64)
     picks = enumerate(at)
     t, pick = next(picks, (0, 0))
-    total, finite = np.add.reduce, math.isfinite
     for k in steps:
-        x, y, wx, wy = advance()
-        if not finite(total(x) + total(y)):
-            _escape(x, y, k, starts)
+        x, y, wx, wy = advance(k)
         if k == pick:
             us[t, 0], us[t, 1] = x, y
             ws[t, 0], ws[t, 1] = wx, wy  # float windings hold exact integers
             t, pick = next(picks, (0, 0))
-    shape = (len(at),) + starts.shape
+    shape = (len(at),) + shape
     return us.transpose(0, 2, 1).reshape(shape), ws.transpose(0, 2, 1).reshape(shape)
 
 
-def _interpreted(lift: TorusLift, x, y, w=None):
+def _interpreted(lift: TorusLift, x, y, starts: np.ndarray, w=0):
     """An `advance` for `_array_chunk`: one `lift._step` on the columns x, y
-    a call, its windings summed in place into w, the cumulative int64
-    winding columns (None before step 1: step 1's fresh windings become
-    them)."""
+    a call, its windings summed in place into int64 columns that start at
+    w, the cumulative windings before the run (0, or of the shape of
+    `starts`), so a step may return a winding of any integer kind. The only
+    array advance that can meet an escape, it checks every step with one
+    sum per coordinate: a reduced coordinate lies in [0,1] or is NaN, so
+    the sums are finite exactly when every point is. Only a sum that is
+    not scans the points, and an escape raises the error naming step k
+    and the first escaped start in `starts`."""
+    wx, wy = np.array(_columns(np.broadcast_to(w, starts.shape)), dtype=np.int64)
 
-    def advance():
-        nonlocal x, y, w
+    def advance(k):
+        nonlocal x, y, wx, wy
         x, y, kx, ky = lift._step(x, y, _ARRAYS)
-        if w is None:
-            w = kx, ky
-        else:
-            wx, wy = w
-            wx += kx
-            wy += ky
-        return x, y, *w
+        if not math.isfinite(np.add.reduce(x) + np.add.reduce(y)):
+            escaped = ~(np.isfinite(x) & np.isfinite(y))
+            if escaped.any():
+                raise IterationError(k, tuple(float(c) for c in starts.reshape(-1, 2)[escaped.argmax()]))
+        wx += kx
+        wy += ky
+        return x, y, wx, wy
 
     return advance
 
@@ -631,18 +626,18 @@ def _compiled(lift: TorusLift, compile_now: bool):
     return run or None
 
 
-def _array_steps(lift: TorusLift, x, y, n: int):
+def _array_steps(lift: TorusLift, x, y, n: int, starts: np.ndarray):
     """An `advance` for `_array_chunk` over n steps from the columns x, y:
     through the array kernel kept on the lift instance, compiled first when
     the run takes at least `_ARRAY_COMPILE_POINTS` point-steps, where the
     run's windings are exact in float64 (`tracer.ArrayStep.steps`); else
     interpreted, and always where the tracer cannot record the step or
-    bound its windings (kept as False)."""
+    bound its windings (kept as False), with `starts` to name an escape."""
     kernel = vars(lift).get("_arrays")
     if kernel is None and n * len(x) >= _ARRAY_COMPILE_POINTS:
         kernel = _compile_arrays(lift) or False
         object.__setattr__(lift, "_arrays", kernel)
-    return (kernel and kernel.steps(x, y, n)) or _interpreted(lift, x, y)
+    return (kernel and kernel.steps(x, y, n)) or _interpreted(lift, x, y, starts)
 
 
 def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: np.ndarray):
@@ -674,15 +669,15 @@ def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: n
                 kept.append((kxs, kys))
             rows[s, 0], rows[s, 1] = xs, ys
     except (ArithmeticError, ValueError):
-        w = [np.array(c) for c in _columns(w)] if np.ndim(w) else None  # summed into in place
-        return _array_chunk(_interpreted(lift, *_columns(u), w), steps, steps, starts)
+        return _array_chunk(_interpreted(lift, *_columns(u), starts, w), steps, steps, u.shape)
     try:
         dws = np.array(kept, dtype=np.int64) if kept else None  # (starts, 2, m)
     except OverflowError:
         dws = None
-    if dws is None:
-        _, _, kx, ky = step(rows[:, 0, :-1].ravel(), rows[:, 1, :-1].ravel(), _ARRAYS)
-        dws = np.stack((kx.reshape(-1, m), ky.reshape(-1, m)), axis=1)
+    if dws is None:  # a winding the array step returns as a scalar is every point's
+        x = rows[:, 0, :-1]  # (starts, m): the x before each step
+        _, _, kx, ky = step(x.ravel(), rows[:, 1, :-1].ravel(), _ARRAYS)
+        dws = np.stack([np.broadcast_to(k, x.size).reshape(x.shape) for k in (kx, ky)], axis=1)
     shape = (m,) + u.shape
     ws = np.cumsum(dws, axis=2).transpose(2, 0, 1).reshape(shape)
     ws += w
@@ -696,10 +691,10 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     1..n; default every step), about `_ORBIT_CHUNK_POINTS` point-steps
     each: us[t] and ws[t] are the torus points and the cumulative int64
     windings after step steps[t], as arrays of shape (steps, ..., 2), the
-    form `walk_closed_grid` returns. Every step up to n is taken and
-    checked, asked for or not. An escape raises the error naming the
-    earliest escaped step and, within it, the first start in input order,
-    as given in `starts` (the caller's points; default u0).
+    form `walk_closed_grid` returns. Every step up to n is taken, asked
+    for or not, and checked where a point can escape. An escape raises the
+    error naming the earliest escaped step and, within it, the first start
+    in input order, as given in `starts` (the caller's points; default u0).
 
     Batches of at most `_FLOAT_STARTS` starts step on Python floats in
     chunks of every step, from which the steps in `at` are picked: through
@@ -717,11 +712,12 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     from the trace, kept on the lift instance (`tracer.ArrayStep`): one
     ufunc call per operation, into preallocated columns. Its windings are
     float64 sums of the floors, so it runs only where the trace's magnitude
-    bounds prove every partial sum of the run an exact integer. Every
+    bounds prove every partial sum of the run an exact integer; the same
+    bounds prove every point finite, so its steps are not checked. Every
     other run (shorter, on a lift that keeps no kernel, past the bound, or
     of a step the tracer cannot record or bound) calls `lift._step` each
-    step and sums its int64 windings in place. All give the bits of n
-    `torus_step` calls.
+    step, checks it for escapes and sums its windings in place into int64
+    columns (`_interpreted`). All give the bits of n `torus_step` calls.
     """
     points = u0.size // 2
     span = max(1, _ORBIT_CHUNK_POINTS // max(1, points))
@@ -745,17 +741,17 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
                 rows = np.subtract(picked, first)
                 yield picked, us[rows], ws[rows]
         return
-    advance, first = _array_steps(lift, *_columns(u0), n), 1
+    advance, first = _array_steps(lift, *_columns(u0), n, starts), 1
     for i in range(0, len(at), span):
         picked = at[i : i + span]
         # escaped points have NaN windings; their cast must not warn
         with np.errstate(invalid="ignore"):
-            us, ws = _array_chunk(advance, range(first, picked[-1] + 1), picked, starts)
+            us, ws = _array_chunk(advance, range(first, picked[-1] + 1), picked, u0.shape)
         yield picked, us, ws
         first = picked[-1] + 1
     if first <= n:  # the steps past the last one in `at` are checked too
         with np.errstate(invalid="ignore"):
-            _array_chunk(advance, range(first, n + 1), (), starts)
+            _array_chunk(advance, range(first, n + 1), (), u0.shape)
 
 
 def run_in_blocks(fn, u0: np.ndarray) -> list:

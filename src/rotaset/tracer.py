@@ -387,7 +387,10 @@ class ArrayStep:
         """An `advance` for `maps._array_chunk` over n steps from the columns
         x, y, with float64 windings; None unless every start lies within
         [-1, 1] and n steps of the bound `self.bound` stay within `_EXACT`,
-        so that each partial sum is an exact integer."""
+        so that each partial sum is an exact integer. It checks no escape:
+        `Tape.winding_bound` admits only tapes whose points stay within
+        [-1, 1] while their inputs do, so from such starts every point of
+        every step is finite."""
         if n * self.bound > _EXACT or not (np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0)):
             return None
         step, m = self.step, len(x)
@@ -395,7 +398,7 @@ class ArrayStep:
         wx, wy = np.zeros((2, m))
         columns = [np.empty(m, dtype={"f": float, "b": bool}[d]) for d in self.dtypes]
 
-        def advance():
+        def advance(k):
             nonlocal a, b
             step(*a, *b, wx, wy, *columns)
             a, b = b, a

@@ -506,6 +506,80 @@ def test_untraceable_steps_run_interpreted_with_the_bits_of_a_plain_loop(lift, c
     assert got_us.tobytes() == us.tobytes() and np.array_equal(got_ws, ws)
 
 
+# Edge points of [-1, 1]², the inputs `Tape.bounds` assumes, and random
+# points within it.
+EDGES = [v for t in (1.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 2.0**-53) for v in (t, -t)]
+BOUNDED_INPUTS = np.concatenate([
+    np.array([(x, y) for x in EDGES for y in EDGES]),
+    np.random.default_rng(20261021).uniform(-1.0, 1.0, (10_000, 2)),
+])
+
+
+def _node_values(tape, x, y) -> list:
+    """Each node of `tape` on the float64 columns x, y, by numpy: its ufunc
+    as the kernel calls it, frac as t - floor(t), select as a where, and a
+    wind node as the floor it winds."""
+    values = [x, y]
+    for op, args in tape.nodes[2:]:
+        a = [values[o] if isinstance(o, int) else tape.values[o] for o in args]
+        if op == "frac":
+            values.append(a[0] - np.floor(a[0]))
+        elif op == "select":
+            values.append(np.where(*a))
+        else:
+            values.append(a[0] if op == "wind" else getattr(np, tracer._UFUNCS[op])(*a))
+    return values
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [pytest.param(from_map_spec(spec), id=name) for name, spec in TWO_PATH_SPECS.items()]
+    + [pytest.param(DiagonalShift(), id="readme-diagonal-shift")]
+    + [pytest.param(SubtractsTwoToThe49(), id="subtracts-2**49")],
+)
+def test_tape_bounds_hold_on_inputs_within_the_unit_box(lift):
+    # the array kernel checks no point for an escape: it runs only where
+    # these bounds keep every step's points within [-1, 1]
+    tape = tracer.trace(lift)
+    bounds = tape.bounds()
+    with np.errstate(all="ignore"):  # a node without a bound may overflow
+        values = _node_values(tape, *BOUNDED_INPUTS.T)
+    assert len(values) == len(bounds) == len(tape.nodes)
+    for node, (value, bound) in enumerate(zip(values, bounds)):
+        if bound < math.inf:
+            value = np.asarray(value, dtype=float)
+            assert np.isfinite(value).all() and (np.abs(value) <= bound).all(), (node, tape.nodes[node], bound)
+    x, y, _, _ = tape.out
+    if tape.winding_bound(tape.kinds()) < math.inf:
+        assert bounds[x] <= 1.0 and bounds[y] <= 1.0
+
+
+@dataclass(frozen=True)
+class WindsThreeInY(TorusLift):
+    """A shift by (1/4, 0) whose step returns the Python int 3 as its y
+    winding, on floats as on arrays: after k steps each start has wound 3k
+    times in y."""
+
+    def _step(self, x, y, op):
+        x, y, kx, _ = op.reduce(x + 0.25, y)
+        return x, y, kx, 3
+
+
+@pytest.mark.parametrize(
+    "points, n, compiled",
+    [(maps._FLOAT_STARTS + 1, 4, False), (3, 4, False), (1, maps._ORBIT_CHUNK_POINTS, True)],
+    ids=["arrays", "interpreted-floats", "compiled-floats"],
+)
+def test_a_scalar_winding_sums_on_every_path(points, n, compiled):
+    u0 = np.random.default_rng(points).random((points, 2))
+    lift = WindsThreeInY()
+    us, ws = _orbit(lift, u0, n)
+    assert callable(vars(lift).get("_compiled")) == compiled
+    assert ws.dtype == np.int64 and np.array_equal(ws[..., 1], np.tile(3 * np.arange(1, n + 1)[:, None], points))
+    shift_us, shift_ws = _orbit(Translation((0.25, 0.0)), u0, n)
+    assert us.tobytes() == shift_us.tobytes() and np.array_equal(ws[..., 0], shift_ws[..., 0])
+
+
 @pytest.mark.parametrize("points", [1, 3, maps._FLOAT_STARTS])
 def test_only_runs_of_a_full_chunk_compile(points):
     # shorter runs, such as the residuals of found periodic orbits, would
