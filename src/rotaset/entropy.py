@@ -12,10 +12,14 @@ single chunked pass gives the counts at every length: it records, for each
 candidate pair in a static ε-block, the separation time s (the number of
 leading steps the pair stays within ε), and a pair is within ε over n steps
 exactly when s ≥ n. The pass therefore reproduces, bit for bit, one
-independent greedy scan per (ε, n) (see `_spanning_counts`). Its working
-memory is about 128 × (2·hw + 1)² candidate pairs per chunk, hw = ⌈ε·res⌉ + 1,
-plus one uint64 of per-length coverage flags per candidate; more than 64
-lengths are scanned in groups of 64.
+independent greedy scan per (ε, n) (see `_spanning_counts`). In each chunk
+of 128 candidates the greedy decisions run in Python over the edges that
+stay inside the chunk, and every other edge is then applied with one numpy
+scatter. Working memory per chunk is about 128 × (hw + 1) × (2·hw + 1)
+step-0 block entries, hw = ⌈ε·res⌉ + 1 (the block rows that lie ahead of
+the chunk), plus one uint64 of per-length coverage flags per candidate and
+a step-major copy of the table; more than 64 lengths are scanned in groups
+of 64.
 """
 from __future__ import annotations
 
@@ -142,17 +146,31 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
 
     The counts therefore equal, bit for bit, one independent greedy scan
     per (ε, n). The covered flags of a candidate are one uint64, bit i for
-    lengths[i]; more than 64 lengths are scanned 64 at a time, each
+    lengths[i], which must ascend; more than 64 lengths are scanned 64 at a time, each
     length's count being its own greedy scan.
 
     Separation times are built for fixed chunks of `_SCAN_CHUNK`
     candidates just before the scan reaches them. Candidates and block
     neighbours already covered at every length are dropped first: covered
-    only grows, so they can never become centres or gain coverage, which
-    keeps isometries and local maps from testing every pair for every
-    step. Memory: about `_SCAN_CHUNK` × (2·hw + 1)² pairs per chunk
-    (hw = ⌈ε·res⌉ + 1), one uint64 of covered flags per candidate and a
-    step-major copy of the table.
+    only grows, so they can never become centres or gain coverage. Per
+    chunk:
+
+    - pairs: the step-0 test reads a per-(res, ε) row table and column
+      table, in the float operations above, and only block rows that hold
+      a later candidate of some chunk member enter it; when every length
+      is at least 2, step 1 is tested next, before anything else is built;
+    - decisions: only edges into the chunk can change a decision in it, so
+      the sequential scan runs on those alone, as Python ints;
+    - cover: an edge c → j beyond the chunk changes j only if s(c, j)
+      reaches one of c's centre lengths. So only pairs from centres go on,
+      each first tested at the step that c's shortest centre length needs;
+      the few that pass get their separation times, and all of them are
+      applied at once with `np.bitwise_or.at`. For an isometry or a local
+      map, where few candidates are centres, this skips nearly every pair.
+
+    Memory: about `_SCAN_CHUNK` × (hw + 1) × (2·hw + 1) block entries per
+    chunk (hw = ⌈ε·res⌉ + 1), one uint64 of covered flags per candidate and
+    a step-major complex copy of the table.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if len(lengths) > 64:
@@ -161,71 +179,111 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
     res = int(resolution)
     total = res * res
     depth = int(lengths.max())
-    ox = np.ascontiguousarray(table[:, :depth, 0].T)
-    oy = np.ascontiguousarray(table[:, :depth, 1].T)
+    # step-major positions x + iy: one gather fetches both coordinates
+    z = np.ascontiguousarray(table[:, :depth].view(np.complex128)[:, :, 0].T)
     eps2 = eps * eps
     hw = int(np.ceil(eps * res)) + 1
-    # the block wraps onto itself once 2·hw + 1 > res: each neighbour once
-    offs = np.unique(np.arange(-hw, hw + 1) % res)
-    sep_dtype = np.min_scalar_type(depth)
+    # the block wraps onto itself once 2·hw + 1 > res: each neighbour once;
+    # offs[0] = 0, the candidate's own row and column
+    offs = np.unique(np.arange(-hw, hw + 1) % res).astype(np.int32)
+    # Step 0 compares grid points: x depends only on the row and y only on
+    # the column, so the float test splits into a row and a column table.
+    row_d2 = _offset_squares(z[0, ::res].real, offs)
+    col_d2 = _offset_squares(z[0, :res].imag, offs)
+    first = 2 if lengths.min() >= 2 else 1  # step-1 failures reach no length
     bit = np.left_shift(np.uint64(1), np.arange(len(lengths), dtype=np.uint64))
     # entry s: the lengths that a pair with separation time s reaches
     reach_by_sep = ((np.arange(depth + 1)[:, None] >= lengths) * bit).sum(axis=1, dtype=np.uint64)
     full = reach_by_sep[depth]
     covered = np.zeros(total, dtype=np.uint64)
-    counts = np.zeros(len(lengths), dtype=np.int64)
+    centres = np.zeros(total, dtype=np.uint64)
     for lo in range(0, total, _SCAN_CHUNK):
-        cand = np.arange(lo, min(lo + _SCAN_CHUNK, total))
-        cand = cand[covered[cand] != full]
+        hi = min(lo + _SCAN_CHUNK, total)
+        # candidates by chunk position, p = c - lo
+        cand = np.flatnonzero(covered[lo:hi] != full).astype(np.int32)
         if cand.size == 0:
             continue
-        rows = (cand[:, None] // res + offs) % res
-        cols = (cand[:, None] % res + offs) % res
-        # Step 0 compares grid points: x depends only on the row and y only
-        # on the column, so the float test splits into a row and a column part.
-        dx = np.abs(ox[0, rows * res] - ox[0, cand, None])
-        dx = np.minimum(dx, 1.0 - dx)
-        dy = np.abs(oy[0, cols] - oy[0, cand, None])
-        dy = np.minimum(dy, 1.0 - dy)
-        pj = (rows[:, :, None] * res + cols[:, None, :]).reshape(len(cand), -1)
-        near = ((dx * dx)[:, :, None] + (dy * dy)[:, None, :] <= eps2).reshape(pj.shape)
-        near &= pj > cand[:, None]
+        ci, cj = np.divmod(cand[:, None] + np.int32(lo), np.int32(res))
+        rows = (ci + offs) % np.int32(res)
+        # block rows that hold a later candidate for some chunk member; a row
+        # before the candidate's own holds none
+        ahead = np.flatnonzero((rows >= ci).any(axis=0))
+        rows = rows[:, ahead]
+        cols = (cj + offs) % np.int32(res)
+        dx2 = np.where(rows < ci, np.inf, row_d2[ci, ahead])
+        near = dx2[:, :, None] + col_d2[cj[:, 0]][:, None, :] <= eps2
+        near[:, 0] &= cols > cj
         pair = np.flatnonzero(near)
-        pc, pj = cand[pair // pj.shape[1]], pj.ravel()[pair]
-        keep = np.flatnonzero(covered[pj] != full)
-        pc, pj = pc.take(keep), pj.take(keep)
-        sep = np.ones(len(pc), dtype=sep_dtype)
-        alive = np.arange(len(pc))
-        a, b = pc, pj
-        for k in range(1, depth):
-            # dx*dx + dy*dy <= eps2 as above, in place
-            dx = ox[k].take(b)
-            dx -= ox[k].take(a)
-            np.abs(dx, out=dx)
-            np.minimum(dx, 1.0 - dx, out=dx)
-            dy = oy[k].take(b)
-            dy -= oy[k].take(a)
-            np.abs(dy, out=dy)
-            np.minimum(dy, 1.0 - dy, out=dy)
-            dx *= dx
-            dy *= dy
-            dx += dy
-            stay = np.flatnonzero(dx <= eps2)
-            alive, a, b = alive.take(stay), a.take(stay), b.take(stay)
-            if alive.size == 0:
-                break
-            sep[alive] = k + 1
-        edge = np.flatnonzero(sep >= lengths.min())
-        pc, pj, reach = pc.take(edge), pj.take(edge), reach_by_sep.take(sep.take(edge))
-        bounds = np.searchsorted(pc, np.append(cand, total))
-        centres = np.zeros(len(cand), dtype=np.uint64)
-        for t, c in enumerate(cand):
-            live = full & ~covered[c]
-            if live:
-                centres[t] = live
-                covered[pj[bounds[t] : bounds[t + 1]]] |= reach[bounds[t] : bounds[t + 1]] & live
-        counts += ((centres[:, None] & bit) != 0).sum(axis=0)
-    return tuple(int(x) for x in counts)
+        rows *= np.int32(res)
+        pj = (rows[:, :, None] + cols[:, None, :]).ravel().take(pair)
+        pc = cand.take(pair // near[0].size)
+        zc = z[:, lo:hi]
+        if first == 2:
+            keep = _within(z[1].take(pj) - zc[1].take(pc), eps2)
+            pc, pj = pc[keep], pj[keep]
+        keep = covered[pj] != full
+        pc, pj = pc[keep], pj[keep]
+        # The decisions, from the edges into the chunk, in order of their
+        # centres: each centre's flags are final before its edges are read.
+        inside = pj < hi
+        a, b = pc[inside], pj[inside]
+        reach = reach_by_sep.take(_separation(z, zc, a, b, eps2, first))
+        edge = np.flatnonzero(reach)
+        flags = covered[lo:hi].tolist()
+        for c, j, r in zip(a.take(edge).tolist(), (b.take(edge) - lo).tolist(), reach.take(edge).tolist()):
+            flags[j] |= r & ~flags[c]
+        live = full & ~np.array(flags, dtype=np.uint64)
+        centres[lo:hi] = live
+        # The cover beyond the chunk, from its centres' pairs only.
+        inside = ~inside
+        inside &= live.take(pc) != 0
+        a, b = pc[inside], pj[inside]
+        if a.size == 0:
+            continue
+        # each pair is first tested at the last step of its centre's
+        # shortest centre length
+        need = (lengths - 1).take(((live[:, None] & bit) != 0).argmax(axis=1)).take(a)
+        keep = np.flatnonzero(_within(z[need, b] - zc[need, a], eps2))
+        a, b = a.take(keep), b.take(keep)
+        np.bitwise_or.at(covered, b, reach_by_sep.take(_separation(z, zc, a, b, eps2, first)) & live.take(a))
+    return tuple(int(x) for x in ((centres[:, None] & bit) != 0).sum(axis=0))
+
+
+def _offset_squares(v: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """(len(v), len(offs)) table of the squared torus distance from v[i] to
+    v[(i + o) % len(v)], in the scan's float operations."""
+    d = np.abs(v[(np.arange(len(v))[:, None] + offs) % len(v)] - v[:, None])
+    d = np.minimum(d, 1.0 - d)
+    return d * d
+
+
+def _separation(z: np.ndarray, zc: np.ndarray, a: np.ndarray, b: np.ndarray, eps2: float, first: int) -> np.ndarray:
+    """Separation times of pairs (zc[:, a], z[:, b]) known to lie within ε
+    at every step before `first`. Steps are tested 8 at a time, and only
+    pairs within ε at all 8 go on."""
+    sep = np.full(len(a), first)
+    alive = np.arange(len(a))
+    for k in range(first, len(z), 8):
+        if alive.size == 0:
+            break
+        d = z[k : k + 8].take(b, axis=1)
+        d -= zc[k : k + 8].take(a, axis=1)
+        run = np.logical_and.accumulate(_within(d, eps2), axis=0).sum(axis=0)
+        sep[alive] += run
+        stay = np.flatnonzero(run == len(d))
+        alive, a, b = alive.take(stay), a.take(stay), b.take(stay)
+    return sep
+
+
+def _within(d: np.ndarray, eps2: float) -> np.ndarray:
+    """Whether displacements d = z_j - z_c (x + iy, overwritten) lie within
+    ε: dx*dx + dy*dy <= eps2 with per axis dx = |x_j - x_c| and then
+    min(dx, 1 - dx), the per-cell scan's float operations."""
+    f = d.view(np.float64)  # dx, dy interleaved
+    np.abs(f, out=f)
+    np.minimum(f, 1.0 - f, out=f)
+    f *= f
+    return f[..., 0::2] + f[..., 1::2] <= eps2
 
 
 def _check_resolution(eps: float, resolution: int):

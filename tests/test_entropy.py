@@ -12,6 +12,7 @@ from rotaset import (
     count_spanning,
     dynamical_distance,
     estimate_entropy,
+    entropy,
     horseshoe_disk,
     maps,
 )
@@ -250,6 +251,16 @@ def _tent_product(a, b):
         (Identity(), 10, 0.45, (1, 4, 200)),
         # 90 lengths, scanned as groups of 64 and 26; counts still change at n = 69
         (VerticalTentShear(0.02), 24, 0.2, tuple(range(1, 91))),
+        # more candidates a row than a scan chunk holds: chunks inside a row
+        (_tent_product(1, 1), 136, 0.04, (1, 2, 3)),
+        # a grid whose points are not dyadic; every length at least 2, so
+        # step 1 is tested before the separation arrays
+        (_tent_product(1, 2), 36, 0.15, (2, 4, 7)),
+        # rows 0-4 reach back to rows 35-39, which lie ahead of them
+        (_tent_product(-1, 1), 40, 0.1, (1, 2, 3)),
+        # pairs that part at the last step of one 8-step slab and would
+        # stay within ε over the next
+        (_tent_product(0.1, 0.1), 32, 0.15, (2, 9, 10, 11, 17, 18, 19, 26)),
     ],
     ids=[
         "tent11",
@@ -260,9 +271,30 @@ def _tent_product(a, b):
         "tent-wrap",
         "identity-wrap-long",
         "slow-shear-grouped",
+        "tent-chunk-in-a-row",
+        "tent12-non-dyadic-from-2",
+        "tent-11-first-rows-wrap",
+        "slow-tent-slab-edges",
     ],
 )
 def test_spanning_counts_match_per_cell_scan(lift, resolution, eps, lengths):
     table = orbit_table(lift, resolution, max(lengths))
     want = tuple(_greedy_count_reference(table, resolution, eps, n) for n in lengths)
     assert _spanning_counts(table, resolution, eps, lengths) == want
+
+
+@pytest.mark.parametrize(
+    "lift, resolution, eps, lengths",
+    [
+        (_tent_product(1, 2), 36, 0.15, (1, 2, 5)),
+        (_tent_product(2, -1), 36, 0.15, (2, 3, 6)),
+        (horseshoe_disk(), 30, 0.15, (2, 4)),
+    ],
+    ids=["tent12", "tent2-1-from-2", "horseshoe"],
+)
+def test_spanning_counts_do_not_depend_on_the_scan_chunk(lift, resolution, eps, lengths, monkeypatch):
+    table = orbit_table(lift, resolution, max(lengths))
+    want = _spanning_counts(table, resolution, eps, lengths)
+    for chunk in (1, 7, 128, resolution**2):
+        monkeypatch.setattr(entropy, "_SCAN_CHUNK", chunk)
+        assert _spanning_counts(table, resolution, eps, lengths) == want, chunk
