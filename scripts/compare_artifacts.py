@@ -83,16 +83,20 @@ FIXED = [
     ["rotset", "--map", "lm", "--csv", "--svg"],
     ["rotset", "--map", "lm", "--grid", "31", "--horizons", "100,500"],
     ["rotset", "--map", "identity", "--grid", "16"],
-    # generic starts, stepped in blocks of maps._BLOCK_POINTS = 16384 starts
-    # across a block edge, each block ending mid-row: 16384 starts of a 136²
-    # grid, then 2112; 16384 of a 150² grid, then 6116 (and entropy at
-    # resolution 136: 16384, then 2112); a single row of 17000 starts,
-    # longer than a block
-    ["rotset", "--map", "lm", "--grid", "136", "--offset", "0.37"],
-    ["rotset", "--map-json", TRANSLATE_LM, "--grid", "150", "--offset", "0.686"],
+    # generic starts, stepped in blocks of maps._BLOCK_POINTS = 8192 starts
+    # across a block edge: the default grid's two blocks of 64 whole rows;
+    # blocks that end mid-row, 8192 starts of a 100² grid, then 1808 (and
+    # entropy at resolution 96: 8192, then 1024); a single row of 9000
+    # starts, longer than a block
+    ["rotset", "--map", "lm", "--offset", "0.37"],
+    ["rotset", "--map-json", TRANSLATE_LM, "--grid", "100", "--offset", "0.686"],
+    ["entropy", "--map", "lm", "--resolution", "96"],
+    ["rotset", "--map", "lm", "--grid", "1x9000", "--offset", "0.37", "--horizons", "1,2"],
+    # spanning scans above the scan's chunk of 128 candidates: at resolution
+    # 136, not a power of two, chunks end mid-row (and the orbit table runs
+    # in blocks of 8192, 8192 and 2112 starts); at 256 a chunk lies inside
+    # one grid row
     ["entropy", "--map", "lm", "--resolution", "136"],
-    ["rotset", "--map", "lm", "--grid", "1x17000", "--offset", "0.37", "--horizons", "1,2"],
-    # a spanning-scan chunk inside one grid row
     ["entropy", "--map", "lm", "--resolution", "256", "--lengths", "2..4"],
     # generic runs of maps._ARRAY_COMPILE_POINTS = 2**20 point-steps, which
     # trace the step: windings past the float64 bound, so interpreted with

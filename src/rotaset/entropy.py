@@ -196,7 +196,7 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
     reach_by_sep = ((np.arange(depth + 1)[:, None] >= lengths) * bit).sum(axis=1, dtype=np.uint64)
     full = reach_by_sep[depth]
     covered = np.zeros(total, dtype=np.uint64)
-    centres = np.zeros(total, dtype=np.uint64)
+    counts = np.zeros(len(lengths), dtype=np.int64)
     for lo in range(0, total, _SCAN_CHUNK):
         hi = min(lo + _SCAN_CHUNK, total)
         # candidates by chunk position, p = c - lo
@@ -233,7 +233,8 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
         for c, j, r in zip(a.take(edge).tolist(), (b.take(edge) - lo).tolist(), reach.take(edge).tolist()):
             flags[j] |= r & ~flags[c]
         live = full & ~np.array(flags, dtype=np.uint64)
-        centres[lo:hi] = live
+        centre = (live[:, None] & bit) != 0
+        counts += centre.sum(axis=0)
         # The cover beyond the chunk, from its centres' pairs only.
         inside = ~inside
         inside &= live.take(pc) != 0
@@ -242,11 +243,11 @@ def _spanning_counts(table: np.ndarray, resolution: int, eps: float, lengths) ->
             continue
         # each pair is first tested at the last step of its centre's
         # shortest centre length
-        need = (lengths - 1).take(((live[:, None] & bit) != 0).argmax(axis=1)).take(a)
+        need = (lengths - 1).take(centre.argmax(axis=1)).take(a)
         keep = np.flatnonzero(_within(z[need, b] - zc[need, a], eps2))
         a, b = a.take(keep), b.take(keep)
         np.bitwise_or.at(covered, b, reach_by_sep.take(_separation(z, zc, a, b, eps2, first)) & live.take(a))
-    return tuple(int(x) for x in ((centres[:, None] & bit) != 0).sum(axis=0))
+    return tuple(int(x) for x in counts)
 
 
 def _offset_squares(v: np.ndarray, offs: np.ndarray) -> np.ndarray:

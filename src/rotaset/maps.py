@@ -96,16 +96,14 @@ _ORBIT_CHUNK_POINTS = 1024
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run: a block's columns and per-step
-# temporaries then stay in cache, and the default 128² `rotset` grid runs
-# as one kernel batch. On a 2-vCPU x86-64 VM, generic-offset `rotset` grids
-# of `integer_translate(lm, (2, -1))` on the array kernel took, at 128²
-# (horizons 100, 500, 2000), 0.320 s in blocks of 8192 against 0.271 s as
-# one batch (medians of 7 alternating runs in one process); at 512²
-# (horizons 100, 500), 1.10-1.25 s in blocks of 8192, 1.87-1.99 s as one
-# batch and 1.04-1.24 s in blocks of 16384 (two sessions of 3 alternating
-# runs). `horseshoe_disk`'s 12-column kernel holds about 1.5 MB at 16384
-# starts.
-_BLOCK_POINTS = 16384
+# temporaries then stay in cache. On a 2-vCPU x86-64 VM, generic-offset
+# `rotset` grids of `integer_translate(lm, (2, -1))` on the array kernel
+# took, at 128² (horizons 100, 500, 2000), 0.320 s in blocks of 8192
+# against 0.271 s as one batch (medians of 7 alternating runs in one
+# process); at 512² (horizons 100, 500), 1.10-1.25 s in blocks of 8192,
+# 1.87-1.99 s as one batch and 1.04-1.24 s in blocks of 16384 (two
+# sessions of 3 alternating runs). Blocks pay at 512², not at 128².
+_BLOCK_POINTS = 8192
 
 # Most substeps one LocalizedShear step may take: about 135 times the 74 of
 # the default horseshoe_disk. Amplitude 1e9 at radius 0.25 would need
@@ -128,8 +126,8 @@ _MAX_TRACE_NODES = 20_000
 # step and compile an array kernel (`tracer.ArrayStep`). On a 2-vCPU x86-64
 # VM that took 0.5 ms for `lm` and 54 ms for `horseshoe_disk`, and a compiled
 # step saved about 10-30 µs and 1.1-2.6 ms at 4096-8192 starts, so 2**20
-# (64 steps of a block of 16384) repays either several times over.
-# Entropy's tables (at most 16384 starts × 13 steps) and Newton's 1-3 step
+# (128 steps of a block of 8192) repays either several times over.
+# Entropy's tables (at most 8192 starts × 13 steps) and Newton's 1-3 step
 # calls stay below it: they would not repay a `horseshoe_disk` trace.
 _ARRAY_COMPILE_POINTS = 2**20
 

@@ -336,7 +336,7 @@ def _picked(lift, u0, n, at):
 @pytest.mark.parametrize("points", [maps._FLOAT_STARTS + 1, maps._BLOCK_POINTS])
 @pytest.mark.parametrize("name", list(TWO_PATH_SPECS))
 def test_compiled_array_steps_match_the_interpreted_loop(name, points, monkeypatch):
-    # the localized shears take about 2 ms per interpreted step at 16384
+    # the localized shears take about 1 ms per interpreted step at 8192
     # starts: fewer steps, from starts inside the disk
     n, box = (30, (0.4, 0.6)) if name in ("localized-shear", "horseshoe-disk") else (300, (0.0, 1.0))
     lo, hi = box
@@ -426,7 +426,7 @@ def test_a_step_that_can_escape_compiles_no_array_kernel(value, monkeypatch):
 
 
 def test_only_array_runs_of_enough_point_steps_compile():
-    # entropy's tables (at most 16384 starts x 13 steps) and Newton's 1-3
+    # entropy's tables (at most 8192 starts x 13 steps) and Newton's 1-3
     # step calls would pay more to trace than they save
     u0 = maps.grid_starts(64, 128, 0.37)
     assert len(u0) * 128 == maps._ARRAY_COMPILE_POINTS
@@ -711,16 +711,16 @@ def test_array_escape_at_any_step_names_its_step_and_start(cols, at, lift):
 @pytest.mark.parametrize(
     "run, start",
     [
-        # 128 rows of 128 per block: row 254 is in block 1, and block 0
+        # 128 rows of 64 per block: row 254 is in block 1, and block 0
         # escapes only at step 1024, from row 127
-        (lambda lift: estimate_rotation_set(lift, (256, 128), (1, 5, 1100)), (254 / 256, 0.0)),
-        # 64 rows of 256 per block: row 254 is in block 3
-        (lambda lift: orbit_table(lift, 256, 12), (127 / 128, 0.0)),
+        (lambda lift: estimate_rotation_set(lift, (256, 64), (1, 5, 1100)), (254 / 256, 0.0)),
+        # 64 rows of 128 per block: row 127 is in block 1
+        (lambda lift: orbit_table(lift, 128, 12), (127 / 128, 0.0)),
     ],
     ids=["estimate_rotation_set", "orbit_table"],
 )
 def test_grid_escape_past_step_1_in_a_later_block(lift, run, start):
-    assert maps._BLOCK_POINTS == 16384  # the blocks the comments count
+    assert maps._BLOCK_POINTS == 8192  # the blocks the comments count
     err = _escape(lambda: run(lift))
     assert (err.step, err.start) == (8, start)
 
@@ -785,9 +785,9 @@ def test_grid_run_escape_is_the_earliest(run):
 
 
 # Grids larger than one default block: estimate_rotation_set runs rows of
-# 64 starts, orbit_table rows of 160. Both have a grid row at x = 4/5.
-ROTSET_GRID = (320, 64)
-TABLE_RES = 160
+# 64 starts, orbit_table rows of 120. Both have a grid row at x = 4/5.
+ROTSET_GRID = (160, 64)
+TABLE_RES = 120
 # Grid rows per block; None keeps the default _BLOCK_POINTS. Blocks of 1.5
 # rows end mid-row.
 BLOCK_ROWS = [1, 1.5, 3, None]
