@@ -7,10 +7,13 @@ difference between the trees in exit code, stdout or a file written to
 properties, iterate maps and an integer translate, rotset grids that are
 walked and stepped (generic ones across block edges, and runs long
 enough to compile the array kernel, one of which the kernel's winding
-bound sends back to the interpreted loop), cover orbits on both sides of the orbit engine's float/array
-crossover, compiled and interpreted on floats, spanning scans at
-resolutions above the scan's chunk of 128 candidates, and one round of
-each benchmark workload (perfbench/workloads.py, seed 1).
+bound sends back to the interpreted loop), a sandwich check whose short
+Newton runs follow a compiling run on the same lift, cover orbits on
+both sides of the orbit engine's float/array crossover, compiled and
+interpreted on floats, spanning scans at resolutions above the scan's
+chunk of 128 candidates, and one round of each benchmark workload
+(perfbench/workloads.py, seed 1). Each run compiles or not by its own
+size alone, whatever an earlier run on the same lift compiled.
 
 Usage: python3 scripts/compare_artifacts.py PARENT_SRC CHANGE_SRC
 
@@ -104,8 +107,13 @@ FIXED = [
     ["rotset", "--map-json", TRANSLATE_LM_NEAR_INT64, "--grid", "16", "--offset", "0.37",
      "--horizons", "100,4096"],
     ["rotset", "--map", "horseshoe_disk", "--grid", "64", "--offset", "0.37", "--horizons", "10,256"],
+    # a stepped grid of 961 starts x 1100 steps, past 2**20, compiles the
+    # array kernel; the Newton runs that follow on the same lift run
+    # interpreted. Generic starts of lm average far inside its periodic
+    # vectors at 1100 steps, so the check reads FAIL and exits 1
+    ["verify", "--map", "lm", "--property", "sandwich", "--grid", "31", "--horizons", "100,1100", "--seeds", "16"],
     # cover orbits of a few starts step on Python floats; one start more
-    # than maps._FLOAT_STARTS steps on arrays. On floats a run of at least
+    # than maps._FLOAT_STARTS steps on arrays. A float run of at least
     # maps._ORBIT_CHUNK_POINTS point-steps runs the lift's step traced and
     # compiled (a leaf such as rotation, lm, an iterate, an integer
     # translate, a compose whose windings wrap past int64), and a shorter

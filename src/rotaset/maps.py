@@ -86,13 +86,13 @@ _ORBIT_CHUNK_POINTS = 1024
 # VM, for a translation and for `lm`, each regime forced (3000-step runs,
 # medians of 5): a compiled float step took 0.24-0.28 and 0.46-0.51 µs at
 # batches 8-32, an interpreted one (`torus_step`, and runs shorter than a
-# chunk on a lift not yet compiled) 0.55-0.77 and 1.4-1.6 µs. An
-# interpreted array step took 0.65 and 1.76 µs at 10 starts, 0.55 and 1.46
-# at 12, 0.42 and 1.22 at 16, 0.22 and 0.56 at 32; the compiled array
-# kernel (runs of `_ARRAY_COMPILE_POINTS`) 0.51 and 1.17, 0.43 and 0.89,
-# 0.34 and 0.71, 0.17 and 0.51. Interpreted floats and arrays cross at
-# about 12 starts, which sets the bound; compiled floats beat both array
-# steps up to about 24.
+# chunk) 0.55-0.77 and 1.4-1.6 µs. An interpreted array step took 0.65
+# and 1.76 µs at 10 starts, 0.55 and 1.46 at 12, 0.42 and 1.22 at 16, 0.22
+# and 0.56 at 32; the compiled array kernel (runs of
+# `_ARRAY_COMPILE_POINTS`) 0.51 and 1.17, 0.43 and 0.89, 0.34 and 0.71,
+# 0.17 and 0.51. Interpreted floats and arrays cross at about 12 starts,
+# which sets the bound; compiled floats beat both array steps up to about
+# 24.
 _FLOAT_STARTS = 10
 
 # Starts per block of a grid run: a block's columns and per-step
@@ -113,14 +113,6 @@ _MAX_SUBSTEPS = 10_000
 # Largest `iterate` count k: a step runs k base steps, about 0.2 s for `lm`
 # at batch 1 (nested iterates multiply their counts).
 _MAX_ITERATE = 10_000
-
-# Most operations a traced step may record (see `tracer.trace`); a longer
-# step is interpreted. On a 2-vCPU x86-64 VM tracing and compiling cost
-# about 9 µs per operation (17 ms for the 1946 of `horseshoe_disk`), and a
-# compiled step saves 8-38 ns per operation a step, so the cost is repaid
-# within about the one chunk a run must fill to compile; the cap bounds a
-# step's source at about 0.2 s of compiling.
-_MAX_TRACE_NODES = 20_000
 
 # Fewest point-steps (starts × steps) an array run must take to trace its
 # step and compile an array kernel (`tracer.ArrayStep`). On a 2-vCPU x86-64
@@ -301,8 +293,9 @@ class TorusLift:
         return op.reduce(*self._apply(x, y, op))
 
     def __getstate__(self):
-        # the float chunk loop the orbit engine keeps on the instance is
-        # generated code, which does not pickle
+        # the compiled steps the orbit engine keeps on the instance (the
+        # float chunk loop and the array kernel) are generated code, which
+        # does not pickle
         state = dict(vars(self))
         state.pop("_compiled", None)
         state.pop("_arrays", None)
@@ -599,45 +592,24 @@ def _interpreted(lift: TorusLift, x, y, starts: np.ndarray, w=0):
     return advance
 
 
-def _compile(lift: TorusLift):
-    """The lift's step as a compiled float chunk loop
-    (`tracer.compile_floats`); None where the tracer cannot record it."""
-    from . import tracer  # imported by the first run that compiles, not by every import
+def _compiled_step(lift: TorusLift, regime: str, compiles: bool):
+    """The lift's step compiled for `regime`, for a run that `compiles`
+    (meets its regime's rule in `torus_orbit`): "floats", a float chunk
+    loop (`tracer.compile_floats`), kept on the instance as `_compiled`;
+    "arrays", an array kernel (`tracer.compile_arrays`), kept as `_arrays`.
+    Built by the first such run; None for any other run, whatever the
+    instance keeps, and where the tracer cannot record the step (kept as
+    False)."""
+    if not compiles:
+        return None
+    name = {"floats": "_compiled", "arrays": "_arrays"}[regime]
+    step = vars(lift).get(name)
+    if step is None:
+        from . import tracer  # imported by the first run that compiles, not by every import
 
-    return tracer.compile_floats(lift)
-
-
-def _compile_arrays(lift: TorusLift):
-    """The lift's step as an array kernel (`tracer.compile_arrays`); None
-    where the tracer cannot record it or bound its windings."""
-    from . import tracer
-
-    return tracer.compile_arrays(lift)
-
-
-def _compiled(lift: TorusLift, compile_now: bool):
-    """The compiled chunk loop kept on the lift instance, compiled first if
-    `compile_now`; None where there is none or the tracer cannot record
-    the step (kept as False)."""
-    run = vars(lift).get("_compiled")
-    if run is None and compile_now:
-        run = _compile(lift) or False
-        object.__setattr__(lift, "_compiled", run)  # not a field: eq, hash and repr ignore it
-    return run or None
-
-
-def _array_steps(lift: TorusLift, x, y, n: int, starts: np.ndarray):
-    """An `advance` for `_array_chunk` over n steps from the columns x, y:
-    through the array kernel kept on the lift instance, compiled first when
-    the run takes at least `_ARRAY_COMPILE_POINTS` point-steps, where the
-    run's windings are exact in float64 (`tracer.ArrayStep.steps`); else
-    interpreted, and always where the tracer cannot record the step or
-    bound its windings (kept as False), with `starts` to name an escape."""
-    kernel = vars(lift).get("_arrays")
-    if kernel is None and n * len(x) >= _ARRAY_COMPILE_POINTS:
-        kernel = _compile_arrays(lift) or False
-        object.__setattr__(lift, "_arrays", kernel)
-    return (kernel and kernel.steps(x, y, n)) or _interpreted(lift, x, y, starts)
+        step = getattr(tracer, f"compile_{regime}")(lift) or False
+        object.__setattr__(lift, name, step)  # not a field: eq, hash and repr ignore it
+    return step or None
 
 
 def _float_chunk(lift: TorusLift, run, u: np.ndarray, w, steps: range, starts: np.ndarray):
@@ -696,26 +668,27 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     error naming the earliest escaped step and, within it, the first start
     in input order, as given in `starts` (the caller's points; default u0).
 
+    Each run decides from its own size alone whether it runs compiled
+    (`_compiled_step`): a step compiled by an earlier run on the lift
+    instance is reused only by a run that meets the rule itself.
+
     Batches of at most `_FLOAT_STARTS` starts step on Python floats in
-    chunks of every step, from which the steps in `at` are picked: through
-    the lift's compiled step (`_compile`) where the lift instance keeps
-    one, else interpreted (see `_float_chunk`). A run that fills at least
-    one chunk compiles the step and keeps it on the instance, so every
-    later run on it uses the compiled step, however short; a step the
-    tracer cannot record is always interpreted. A start of -0.0 steps as
-    0.0, as on arrays.
+    chunks of every step, from which the steps in `at` are picked. A run
+    that fills at least one chunk (starts × n ≥ `_ORBIT_CHUNK_POINTS`)
+    runs the lift's compiled step; a shorter one, and a step the tracer
+    cannot record, is interpreted (see `_float_chunk`). A start of -0.0
+    steps as 0.0, as on arrays.
 
     Larger batches step on numpy columns: x, y and the windings stay 1-d
     arrays for the whole run, and points are built only at the steps in
     `at` (see `_array_chunk`). A run of at least `_ARRAY_COMPILE_POINTS`
-    point-steps (starts × n) traces the step and compiles an array kernel
-    from the trace, kept on the lift instance (`tracer.ArrayStep`): one
-    ufunc call per operation, into preallocated columns. Its windings are
-    float64 sums of the floors, so it runs only where the trace's magnitude
-    bounds prove every partial sum of the run an exact integer; the same
-    bounds prove every point finite, so its steps are not checked. Every
-    other run (shorter, on a lift that keeps no kernel, past the bound, or
-    of a step the tracer cannot record or bound) calls `lift._step` each
+    point-steps runs the array kernel compiled from the lift's trace
+    (`tracer.ArrayStep`): one ufunc call per operation, into preallocated
+    columns. Its windings are float64 sums of the floors, so it runs only
+    where the trace's magnitude bounds prove every partial sum of the run
+    an exact integer; the same bounds prove every point finite, so its
+    steps are not checked. Every other run (shorter, past the bound, or of
+    a step the tracer cannot record or bound) calls `lift._step` each
     step, checks it for escapes and sums its windings in place into int64
     columns (`_interpreted`). All give the bits of n `torus_step` calls.
     """
@@ -725,8 +698,7 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
     starts = u0 if starts is None else np.reshape(starts, u0.shape)
     u0 = u0 + 0.0  # a -0.0 start to 0.0, as an array step reduces it
     if 0 < points <= _FLOAT_STARTS:
-        # a run shorter than one chunk compiles nothing, but runs a kept loop
-        run = _compiled(lift, n * points >= _ORBIT_CHUNK_POINTS)
+        run = _compiled_step(lift, "floats", n * points >= _ORBIT_CHUNK_POINTS)
         u, w = u0, 0  # the cumulative winding before step 1
         for first in range(1, n + 1, span):
             steps = range(first, min(first + span, n + 1))
@@ -741,7 +713,9 @@ def torus_orbit(lift: TorusLift, u0: np.ndarray, n: int, starts=None, at=None):
                 rows = np.subtract(picked, first)
                 yield picked, us[rows], ws[rows]
         return
-    advance, first = _array_steps(lift, *_columns(u0), n, starts), 1
+    x, y = _columns(u0)
+    kernel = _compiled_step(lift, "arrays", n * points >= _ARRAY_COMPILE_POINTS)
+    advance, first = (kernel and kernel.steps(x, y, n)) or _interpreted(lift, x, y, starts), 1
     for i in range(0, len(at), span):
         picked = at[i : i + span]
         # escaped points have NaN windings; their cast must not warn

@@ -44,6 +44,14 @@ _UFUNCS = {
 }
 _KERNEL_NAMESPACE = {name: getattr(np, name) for name in ("copyto", *_UFUNCS.values())}
 
+# Most operations a traced step may record (see `trace`); a longer step is
+# interpreted. On a 2-vCPU x86-64 VM tracing and compiling cost about 9 µs
+# per operation (17 ms for the 1946 of `horseshoe_disk`), and a compiled
+# step saves 8-38 ns per operation a step, so the cost is repaid within
+# about the one chunk a run must fill to compile; the cap bounds a step's
+# source at about 0.2 s of compiling.
+_MAX_TRACE_NODES = 20_000
+
 # Integers of at most this magnitude, and their sums within it, are exact
 # in float64.
 _EXACT = 2.0**52
@@ -97,7 +105,7 @@ class Tape:
         return self.constants[key]
 
     def record(self, op: str, *operands):
-        if len(self.nodes) >= maps._MAX_TRACE_NODES:
+        if len(self.nodes) >= _MAX_TRACE_NODES:
             raise Untraceable("a step longer than the trace cap")
         key = (op, tuple(map(self.operand, operands)))
         if key not in self.seen:
@@ -352,7 +360,7 @@ def trace(lift: TorusLift) -> Tape:
     """`lift._step`, run once on traced values. Raises for a step the
     tracer cannot record: one that branches on a value, calls numpy or
     `math` on one, uses a constant that is not a Python int or float, or
-    runs more than `maps._MAX_TRACE_NODES` operations."""
+    runs more than `_MAX_TRACE_NODES` operations."""
     tape = Tape()
     tape.out = tuple(map(tape.operand, lift._step(Traced(tape, 0), Traced(tape, 1), TRACING)))
     return tape

@@ -70,6 +70,19 @@ class CountsArraySteps(TorusLift):
         return self.base._step(x, y, op)
 
 
+@dataclass(frozen=True)
+class CountsFloatSteps(TorusLift):
+    """`base`, recording each step taken on Python floats."""
+
+    base: TorusLift
+    float_steps: list = field(default_factory=list, compare=False)
+
+    def _step(self, x, y, op):
+        if op is maps._FLOATS:
+            self.float_steps.append(1)
+        return self.base._step(x, y, op)
+
+
 # (points, steps): one-step chunks from 513 points up; the others take
 # 1024 // points steps per chunk, and no n here is a multiple of that.
 ENGINE_SIZES = [(1, 2500), (2, 1100), (3, 1000), (1023, 3), (1024, 3), (1025, 3)]
@@ -277,7 +290,7 @@ def _orbit(lift, u0, n):
 
 def _interpreted(monkeypatch):
     """Every lift built after this call steps on floats through its `_step`."""
-    monkeypatch.setattr(maps, "_compile", lambda lift: None)
+    monkeypatch.setattr(tracer, "compile_floats", lambda lift: None)
 
 
 @pytest.mark.parametrize("points", [1, 2, maps._FLOAT_STARTS])
@@ -316,7 +329,7 @@ def test_compiled_escape_names_the_interpreted_step_and_start(value, monkeypatch
 
 def _interpreted_arrays(monkeypatch):
     """Every lift built after this call steps on arrays through its `_step`."""
-    monkeypatch.setattr(maps, "_compile_arrays", lambda lift: None)
+    monkeypatch.setattr(tracer, "compile_arrays", lambda lift: None)
 
 
 def _interpreted_runs(monkeypatch) -> list:
@@ -483,8 +496,8 @@ class BranchesOnAValue(TorusLift):
 
 
 def test_a_step_that_branches_on_a_value_is_not_compiled():
-    assert maps._compile(BranchesOnAValue()) is None
-    assert maps._compile(Translation(IRRATIONAL)) is not None
+    assert tracer.compile_floats(BranchesOnAValue()) is None
+    assert tracer.compile_floats(Translation(IRRATIONAL)) is not None
 
 
 @pytest.mark.parametrize(
@@ -499,7 +512,7 @@ def test_a_step_that_branches_on_a_value_is_not_compiled():
     ],
 )
 def test_untraceable_steps_run_interpreted_with_the_bits_of_a_plain_loop(lift, compiled, monkeypatch):
-    monkeypatch.setattr(maps, "_MAX_TRACE_NODES", 20)  # lm's step records 22 operations
+    monkeypatch.setattr(tracer, "_MAX_TRACE_NODES", 20)  # lm's step records 22 operations
     u0, us, ws = (a[..., :2, :] for a in _reference(lift, maps._FLOAT_STARTS + 1, 2000, (0.0, 1.0)))
     got_us, got_ws = _orbit(lift, u0, 2000)
     assert callable(vars(lift)["_compiled"]) if compiled else vars(lift)["_compiled"] is False
@@ -590,6 +603,34 @@ def test_only_runs_of_a_full_chunk_compile(points):
     assert "_compiled" not in vars(lift)
     _orbit(lift, np.full((points, 2), 0.3), n)
     assert callable(vars(lift)["_compiled"])
+
+
+def test_a_short_float_run_after_a_compiling_one_is_interpreted():
+    # whether a run compiles depends on the run alone, not on the loop an
+    # earlier run kept on the lift instance
+    lift = CountsFloatSteps(lm_map())
+    _orbit(lift, np.array([[0.2, 0.3]]), maps._ORBIT_CHUNK_POINTS)
+    assert callable(vars(lift)["_compiled"])
+    lift.float_steps.clear()
+    u0 = np.array([[0.6, 0.1]])
+    us, ws = _orbit(lift, u0, 10)
+    assert len(lift.float_steps) == 10
+    fresh_us, fresh_ws = _orbit(CountsFloatSteps(lm_map()), u0, 10)
+    assert us.tobytes() == fresh_us.tobytes() and ws.tobytes() == fresh_ws.tobytes()
+
+
+def test_a_short_array_run_after_a_compiling_one_is_interpreted(monkeypatch):
+    # nor on the array kernel an earlier run kept
+    lift = CountsArraySteps(lm_map())
+    u0 = np.random.default_rng(26).random((1024, 2))
+    list(maps.torus_orbit(lift, u0, 1024, at=(1024,)))  # 2**20 point-steps: arrays compile
+    assert isinstance(vars(lift)["_arrays"], tracer.ArrayStep) and not lift.array_steps
+    runs = _interpreted_runs(monkeypatch)
+    u0 = u0[: maps._FLOAT_STARTS + 1]
+    us, ws = _orbit(lift, u0, 5)
+    assert len(runs) == 1 and lift.array_steps == [maps._FLOAT_STARTS + 1] * 5
+    fresh_us, fresh_ws = _orbit(CountsArraySteps(lm_map()), u0, 5)
+    assert us.tobytes() == fresh_us.tobytes() and ws.tobytes() == fresh_ws.tobytes()
 
 
 def test_a_dropped_lift_frees_its_compiled_step():
